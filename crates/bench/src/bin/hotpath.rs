@@ -7,6 +7,10 @@
 //! - `xor_scalar_ns_per_op` / `xor_word_ns_per_op`: ns per 64 KiB XOR for
 //!   the pinned byte-at-a-time baseline vs the word-vectorized kernel,
 //!   and the resulting `xor_speedup` (gate: >= 4x).
+//! - `gf_scalar_encode_ns_per_op` / `gf_fused_encode_ns_per_op`: ns per
+//!   P+Q encode of four 64 KiB data units, unit by unit through the
+//!   scalar references vs one fused Horner pass (`sim::gf_pq_into`), and
+//!   the resulting `gf_encode_speedup` (gate: >= 4x).
 //! - `write_path_mib_s`: host-CPU throughput of steady-state full-stripe
 //!   RAIZN writes with tracing enabled (simulated device time costs
 //!   nothing real).
@@ -22,7 +26,13 @@
 //!   the same two counts on a dual-parity (RAIZN-2) volume — the Q
 //!   accumulator and second pp-log leg share the parity pools, so the
 //!   full-stripe count gates at 0 as well (`raizn2_write_mib_s` reports
-//!   its throughput).
+//!   its throughput). `raizn2_over_raizn1_host` is the ratio of the two
+//!   traced full-stripe write throughputs (reported, not gated).
+//! - `allocs_per_double_degraded_read_p2`: heap allocations per 64 KiB
+//!   read of a unit held by one of two failed devices on a dual-parity
+//!   volume, after warm-up (gate: 0 — the decode fetches into pooled
+//!   scratch and writes the missing slot straight into the caller's
+//!   buffer).
 //! - `allocs_per_lsraid_write` / `lsraid_waf_gc_idle`: the
 //!   log-structured engine's steady state — heap allocations per
 //!   stripe-aligned append with full observability attached (gate: 0)
@@ -41,7 +51,8 @@
 //!   (unsampled tracing + tumbling windows + per-write timeline polling)
 //!   vs an identical unobserved volume (gate: < 5%). Both paths are timed
 //!   in interleaved rounds and the per-round minimum is compared, so a
-//!   one-off scheduler hiccup cannot fail the gate.
+//!   one-off scheduler hiccup cannot fail the gate. The value is signed:
+//!   a negative reading is noise, reported as measured.
 //! - `scaling`: wall-clock thread-scaling sweep of the sharded write
 //!   pipeline — eight zone-disjoint sequential full-stripe jobs driven by
 //!   1/2/4/8 engine workers against fresh volumes, per-count minimum of
@@ -328,7 +339,7 @@ fn main() -> bench::BenchResult {
         full_allocs += at;
     }
     let allocs_per_full = full_allocs as f64 / (ROUNDS as u64 * full_iters) as f64;
-    let overhead_pct = ((traced_ns / untraced_ns - 1.0) * 100.0).max(0.0);
+    let overhead_pct = (traced_ns / untraced_ns - 1.0) * 100.0;
     let mib_s = stripe_bytes as f64 / (1024.0 * 1024.0) / (traced_ns / 1e9);
 
     // --- Write path: 4 KiB partial-stripe writes (pp-log path) ----------
@@ -357,6 +368,61 @@ fn main() -> bench::BenchResult {
         write_round(raizn2.as_ref(), &mut lba2, four_k, 64, Some(&timeline))?;
     let allocs_per_partial_p2 = r2_partial_allocs as f64 / 64.0;
     let raizn2_mib_s = (r2_stripe_sectors * 4096) as f64 / (1024.0 * 1024.0) / (r2_ns / 1e9);
+    let raizn2_over_raizn1 = raizn2_mib_s / mib_s;
+
+    // --- GF(2^8) P+Q encode: four 64 KiB data units ----------------------
+    // Unit by unit through the scalar references (XOR into P, g^k
+    // multiply-accumulate into Q) vs the one fused Horner pass. Timed
+    // after the overhead rounds so its buffers do not change the heap
+    // those rounds run on.
+    let (gf_scalar_ns, gf_fused_ns) = {
+        let unit = 64 * 1024;
+        let mut units = vec![0u8; 4 * unit];
+        sim::SimRng::new(0x6F).fill_bytes(&mut units);
+        let (mut p, mut q) = (vec![0u8; unit], vec![0u8; unit]);
+        let scalar = time_ns(20, || {
+            for (k, u) in units.chunks_exact(unit).enumerate() {
+                sim::xor::xor_into_scalar_reference(&mut p, black_box(u));
+                sim::gf::gf_mul_into_scalar_reference(
+                    &mut q,
+                    black_box(u),
+                    sim::gf_pow(2, k as u32),
+                );
+            }
+        });
+        let fused = time_ns(400, || {
+            sim::gf_pq_into(&mut p, &mut q, black_box(&units), 0);
+        });
+        black_box((p[0], q[0]));
+        (scalar, fused)
+    };
+    let gf_speedup = gf_scalar_ns / gf_fused_ns;
+
+    // --- Degraded read: dual parity, two devices failed ------------------
+    // Every 64 KiB unit of ten full stripes is read back with devices 0
+    // and 1 failed; reads of their units decode two erasures (data+data,
+    // data+P or data+Q, as the roles rotate). The first pass warms the
+    // reconstruction scratch pool; the second must not touch the heap.
+    let degraded = fresh_volume(None, 2)?;
+    let mut lba_d = 0u64;
+    write_round(degraded.as_ref(), &mut lba_d, r2_data, 10, None)?;
+    degraded.fail_device(0)?;
+    degraded.fail_device(1)?;
+    let mut unit_buf = vec![0u8; 16 * 4096];
+    // Returns (heap allocations, two-erasure decodes) of one pass.
+    let mut read_units = || -> bench::BenchResult<(u64, u64)> {
+        let d0 = degraded.stats().double_degraded_reads;
+        let a0 = allocs();
+        for lba in (0..lba_d).step_by(16) {
+            degraded.read(SimTime::ZERO, lba, &mut unit_buf)?;
+        }
+        let a1 = allocs();
+        Ok((a1 - a0, degraded.stats().double_degraded_reads - d0))
+    };
+    read_units()?;
+    let (degraded_allocs, decodes) = read_units()?;
+    gate!(decodes > 0, "degraded read pass decoded no double erasure");
+    let allocs_per_double_degraded = degraded_allocs as f64 / decodes as f64;
 
     // --- Log-structured engine: steady-state append writes --------------
     // The lsraid log write path holds the same budget with the full
@@ -516,7 +582,7 @@ fn main() -> bench::BenchResult {
 
     let reused = traced.stats().stripe_buffers_reused;
     let json = format!(
-        "{{\n  \"xor_scalar_ns_per_op\": {scalar_ns:.1},\n  \"xor_word_ns_per_op\": {word_ns:.1},\n  \"xor_speedup\": {speedup:.2},\n  \"write_path_mib_s\": {mib_s:.1},\n  \"raizn2_write_mib_s\": {raizn2_mib_s:.1},\n  \"lsraid_write_mib_s\": {lsraid_mib_s:.1},\n  \"allocs_per_full_stripe_write\": {allocs_per_full},\n  \"allocs_per_partial_write\": {allocs_per_partial},\n  \"allocs_per_full_stripe_write_p2\": {allocs_per_full_p2},\n  \"allocs_per_partial_write_p2\": {allocs_per_partial_p2},\n  \"allocs_per_lsraid_write\": {allocs_per_ls},\n  \"lsraid_waf_gc_idle\": {ls_waf},\n  \"allocs_per_qos_op\": {allocs_per_qos},\n  \"allocs_per_write_managed\": {allocs_per_managed},\n  \"stripe_buffers_reused\": {reused},\n  \"trace_overhead_pct\": {overhead_pct:.2},\n  \"scaling\": {scaling_json}\n}}\n"
+        "{{\n  \"xor_scalar_ns_per_op\": {scalar_ns:.1},\n  \"xor_word_ns_per_op\": {word_ns:.1},\n  \"xor_speedup\": {speedup:.2},\n  \"gf_scalar_encode_ns_per_op\": {gf_scalar_ns:.1},\n  \"gf_fused_encode_ns_per_op\": {gf_fused_ns:.1},\n  \"gf_encode_speedup\": {gf_speedup:.2},\n  \"write_path_mib_s\": {mib_s:.1},\n  \"raizn2_write_mib_s\": {raizn2_mib_s:.1},\n  \"raizn2_over_raizn1_host\": {raizn2_over_raizn1:.2},\n  \"lsraid_write_mib_s\": {lsraid_mib_s:.1},\n  \"allocs_per_full_stripe_write\": {allocs_per_full},\n  \"allocs_per_partial_write\": {allocs_per_partial},\n  \"allocs_per_full_stripe_write_p2\": {allocs_per_full_p2},\n  \"allocs_per_partial_write_p2\": {allocs_per_partial_p2},\n  \"allocs_per_double_degraded_read_p2\": {allocs_per_double_degraded},\n  \"allocs_per_lsraid_write\": {allocs_per_ls},\n  \"lsraid_waf_gc_idle\": {ls_waf},\n  \"allocs_per_qos_op\": {allocs_per_qos},\n  \"allocs_per_write_managed\": {allocs_per_managed},\n  \"stripe_buffers_reused\": {reused},\n  \"trace_overhead_pct\": {overhead_pct:.2},\n  \"scaling\": {scaling_json}\n}}\n"
     );
     std::fs::write("BENCH_hotpath.json", &json)?;
     print!("{json}");
@@ -536,12 +602,20 @@ fn main() -> bench::BenchResult {
         "word XOR kernel below 4x over scalar baseline: {speedup:.2}x"
     );
     gate!(
+        gf_speedup >= 4.0,
+        "fused GF(2^8) P+Q encode below 4x over scalar baseline: {gf_speedup:.2}x"
+    );
+    gate!(
         allocs_per_full == 0.0,
         "observed steady-state full-stripe writes allocate: {allocs_per_full} allocs/write"
     );
     gate!(
         allocs_per_full_p2 == 0.0,
         "dual-parity steady-state full-stripe writes allocate: {allocs_per_full_p2} allocs/write"
+    );
+    gate!(
+        allocs_per_double_degraded == 0.0,
+        "double-degraded reads allocate: {allocs_per_double_degraded} allocs/decode"
     );
     gate!(
         allocs_per_ls == 0.0,

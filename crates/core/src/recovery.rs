@@ -19,10 +19,12 @@ use crate::config::RaiznConfig;
 use crate::metadata::{MdPayload, MdRecord, MD_HEADER_BYTES};
 use crate::stats::AtomicRaiznStats;
 use crate::stripe::StripeBuffer;
-use crate::volume::{internal, xor_into, MdRole, MetaState, RaiznVolume, RelocatedUnit};
+use crate::volume::{internal, MdRole, MetaState, RaiznVolume, RelocatedUnit};
 use crate::Result;
+use sim::gf::{Decode, Slot};
 use sim::SimTime;
 use std::collections::HashMap;
+use std::ops::Range;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use zns::{WriteFlags, ZnsDevice, ZnsError, ZoneState, ZonedVolume, SECTOR_SIZE};
@@ -828,81 +830,75 @@ impl RaiznVolume {
                 .collect()
         };
 
-        // Accumulate every available data unit (except `skips`) into
-        // `dst`, XOR-wise (coeff == None) or scaled by g^i (Q leg),
-        // zero-extended past each unit's written extent at `fill`.
-        let mut tmp = vec![0u8; bytes];
-        let accumulate =
-            |dst: &mut [u8], tmp: &mut Vec<u8>, fill: u64, skips: &[u64], rs: bool| -> Result<()> {
-                for i in 0..d_units {
-                    if skips.contains(&i) {
-                        continue;
-                    }
-                    let written = fill.saturating_sub(i * su).min(su);
-                    let irows = written.saturating_sub(row0).min(rows);
-                    if irows == 0 {
-                        continue;
-                    }
-                    let idev = layout.data_device(lz, stripe, i);
-                    tmp.fill(0);
-                    self.fetch_slot_rows(
+        // Stage every available data unit (except `skips`) at extent
+        // `fill` into its column of `units`, zero-extended past the unit's
+        // written extent; skipped columns stay zero.
+        let mut units = vec![0u8; d_units as usize * bytes];
+        let stage = |units: &mut [u8], fill: u64, skips: &[u64]| -> Result<()> {
+            units.fill(0);
+            for i in 0..d_units {
+                if skips.contains(&i) {
+                    continue;
+                }
+                let written = fill.saturating_sub(i * su).min(su);
+                let irows = written.saturating_sub(row0).min(rows);
+                if irows == 0 {
+                    continue;
+                }
+                let idev = layout.data_device(lz, stripe, i);
+                let col = i as usize * bytes;
+                self.fetch_slot_rows(
+                    m,
+                    devices,
+                    at,
+                    lz,
+                    stripe,
+                    idev,
+                    row0,
+                    &mut units[col..col + (irows * SECTOR_SIZE) as usize],
+                )?;
+            }
+            Ok(())
+        };
+
+        match layout.unit_of_device(lz, stripe, dev) {
+            // ---- Rebuilding a parity slot (P or Q). ----------------------
+            None => {
+                let fill = layout.stripe_data_sectors(); // parity slots exist only complete
+                let missing = missing_at(fill, None);
+                stage(&mut units, fill, &missing)?;
+                // Data units that are also gone are recovered through the
+                // full data-unit machinery (the other parity leg,
+                // lower-extent pp snapshots, or a two-erasure solve) into
+                // their columns. Depth is bounded: the data arm never
+                // recurses.
+                for &k in &missing {
+                    let kdev = layout.data_device(lz, stripe, k);
+                    let col = k as usize * bytes;
+                    let ok = self.rebuild_rows(
                         m,
                         devices,
                         at,
                         lz,
                         stripe,
-                        idev,
-                        row0,
-                        &mut tmp[..(irows * SECTOR_SIZE) as usize],
+                        kdev,
+                        have,
+                        needed,
+                        complete,
+                        pp,
+                        wp,
+                        &mut units[col..col + bytes],
                     )?;
-                    if rs {
-                        sim::gf_mul_into(dst, tmp, sim::gf_pow(2, i as u32));
-                    } else {
-                        xor_into(dst, tmp);
+                    if !ok {
+                        return Ok(false);
                     }
                 }
-                Ok(())
-            };
-
-        match layout.unit_of_device(lz, stripe, dev) {
-            // ---- Rebuilding a parity slot (P or Q). ----------------------
-            None => {
-                let is_q = qdev == Some(dev);
-                let fill = layout.stripe_data_sectors(); // parity slots exist only complete
-                let missing = missing_at(fill, None);
-                match missing.as_slice() {
-                    [] => {
-                        out.fill(0);
-                        accumulate(out, &mut tmp, fill, &[], is_q)?;
-                        Ok(true)
-                    }
-                    missing => {
-                        // Some data units are also gone: recover each one
-                        // through the full data-unit machinery (the other
-                        // parity leg, lower-extent pp snapshots, or a
-                        // two-erasure solve), then fold them in. Depth is
-                        // bounded: the data arm never recurses.
-                        out.fill(0);
-                        accumulate(out, &mut tmp, fill, missing, is_q)?;
-                        for &k in missing {
-                            let kdev = layout.data_device(lz, stripe, k);
-                            let mut dk = vec![0u8; bytes];
-                            let ok = self.rebuild_rows(
-                                m, devices, at, lz, stripe, kdev, have, needed, complete, pp, wp,
-                                &mut dk,
-                            )?;
-                            if !ok {
-                                return Ok(false);
-                            }
-                            if is_q {
-                                sim::gf_mul_into(out, &dk, sim::gf_pow(2, k as u32));
-                            } else {
-                                xor_into(out, &dk);
-                            }
-                        }
-                        Ok(true)
-                    }
-                }
+                // With every data unit in hand, the parity slot is the
+                // decode of a stripe whose P and Q are both erased.
+                let target = if qdev == Some(dev) { Slot::Q } else { Slot::P };
+                let cols: Vec<&[u8]> = units.chunks_exact(bytes).collect();
+                Decode::new(d_units as usize, target, None).run(out, &cols, &[], &[]);
+                Ok(true)
             }
             // ---- Rebuilding a data unit. ---------------------------------
             Some(j) => {
@@ -911,20 +907,39 @@ impl RaiznVolume {
                     Some(qd) => leg_candidates(qd, pp.q.get(&(lz, stripe)))?,
                     None => Vec::new(),
                 };
-                // Single-erasure via P: out = P ^ XOR(other units).
+                // Decodes rows `r` of D_j from the staged columns and the
+                // legs with `other` also unavailable.
+                let decode = |out: &mut [u8],
+                              units: &[u8],
+                              r: Range<usize>,
+                              other: Slot,
+                              p: &[u8],
+                              q: &[u8]| {
+                    let cols: Vec<&[u8]> = (0..d_units as usize)
+                        .map(|i| &units[i * bytes + r.start..i * bytes + r.end])
+                        .collect();
+                    let p = if p.is_empty() { p } else { &p[r.clone()] };
+                    let q = if q.is_empty() { q } else { &q[r.clone()] };
+                    Decode::new(d_units as usize, Slot::Data(j as usize), Some(other)).run(
+                        &mut out[r],
+                        &cols,
+                        p,
+                        q,
+                    );
+                };
+                // Single erasure via P (D_j = S_P) or via Q
+                // (D_j = g^-j · S_Q).
                 for (pbuf, extent) in &p_cands {
                     if j * su + needed <= *extent && missing_at(*extent, Some(j)).is_empty() {
-                        out.copy_from_slice(pbuf);
-                        accumulate(out, &mut tmp, *extent, &[j], false)?;
+                        stage(&mut units, *extent, &[j])?;
+                        decode(out, &units, 0..bytes, Slot::Q, pbuf, &[]);
                         return Ok(true);
                     }
                 }
-                // Single-erasure via Q: out = g^{-j} · (Q ^ Σ g^i·D_i).
                 for (qbuf, extent) in &q_cands {
                     if j * su + needed <= *extent && missing_at(*extent, Some(j)).is_empty() {
-                        out.copy_from_slice(qbuf);
-                        accumulate(out, &mut tmp, *extent, &[j], true)?;
-                        sim::gf_scale(out, sim::gf_inv(sim::gf_pow(2, j as u32)));
+                        stage(&mut units, *extent, &[j])?;
+                        decode(out, &units, 0..bytes, Slot::P, &[], qbuf);
                         return Ok(true);
                     }
                 }
@@ -940,20 +955,15 @@ impl RaiznVolume {
                             continue;
                         };
                         let k = *k;
-                        let mut sp = pbuf.clone();
-                        let mut sq = qbuf.clone();
-                        accumulate(&mut sp, &mut tmp, *ep, &[j, k], false)?;
-                        accumulate(&mut sq, &mut tmp, *ep, &[j, k], true)?;
-                        // Rows where unit k holds data need the 2x2 solve;
-                        // rows past its written extent see D_k == 0, so sp
-                        // is D_j there outright (staggered fill, §5.1).
+                        stage(&mut units, *ep, &[j, k])?;
+                        // Rows where unit k holds data need the two-erasure
+                        // solve; rows past its written extent see D_k == 0,
+                        // so P alone yields D_j there (staggered fill, §5.1).
                         let written_k = ep.saturating_sub(k * su).min(su);
                         let krows = written_k.saturating_sub(row0).min(rows);
                         let kb = (krows * SECTOR_SIZE) as usize;
-                        sim::rs_solve_two(&mut sp[..kb], &mut sq[..kb], j as u32, k as u32);
-                        // rs_solve_two leaves D_j in sq (and D_k in sp).
-                        out[..kb].copy_from_slice(&sq[..kb]);
-                        out[kb..].copy_from_slice(&sp[kb..]);
+                        decode(out, &units, 0..kb, Slot::Data(k as usize), pbuf, qbuf);
+                        decode(out, &units, kb..bytes, Slot::Q, pbuf, &[]);
                         return Ok(true);
                     }
                 }

@@ -94,8 +94,10 @@ impl StripeBuffer {
     /// The parity update is *not* per sector: the written range is split
     /// at stripe-unit boundaries, and each unit segment — whose sectors
     /// occupy contiguous parity rows — is XORed as one contiguous range
-    /// through the word-vectorized [`sim::xor_into`] kernel. The row hull
-    /// falls out of the same segment arithmetic.
+    /// through the word-vectorized [`sim::xor_into`] kernel. In dual-parity
+    /// mode [`sim::gf_pq_into`] updates P and Q in one pass per segment,
+    /// and a run of whole units is one segment. The row hull falls out of
+    /// the same segment arithmetic.
     ///
     /// # Panics
     ///
@@ -116,7 +118,8 @@ impl StripeBuffer {
         self.data[off..off + data.len()].copy_from_slice(data);
         // Sectors [s, s+run) within one unit land on contiguous parity
         // rows [s % su, s % su + run): XOR each such segment as a single
-        // contiguous range.
+        // contiguous range. With a Q column, whole units share every
+        // parity row, so one fused Horner pass covers a run of them.
         let su = self.unit_sectors;
         let mut row_lo = u64::MAX;
         let mut row_hi = 0u64;
@@ -124,23 +127,27 @@ impl StripeBuffer {
         let end = start + sectors;
         while s < end {
             let row = s % su;
-            let run = (su - row).min(end - s);
+            let mut run = (su - row).min(end - s);
             row_lo = row_lo.min(row);
             row_hi = row_hi.max(row + run);
             let d_off = (s * SECTOR_SIZE) as usize;
             let p_off = (row * SECTOR_SIZE) as usize;
             let len = (run * SECTOR_SIZE) as usize;
-            sim::xor_into(
-                &mut self.parity[p_off..p_off + len],
-                &self.data[d_off..d_off + len],
-            );
-            if !self.q.is_empty() {
-                // Q accumulates g^k * data for unit index k = s / su.
-                let coeff = sim::gf_pow(2, (s / su) as u32);
-                sim::gf_mul_into(
-                    &mut self.q[p_off..p_off + len],
+            if self.q.is_empty() {
+                sim::xor_into(
+                    &mut self.parity[p_off..p_off + len],
                     &self.data[d_off..d_off + len],
-                    coeff,
+                );
+            } else {
+                if run == su {
+                    run = (end - s) / su * su;
+                }
+                // Unit k = s / su enters Q as g^k · D_k.
+                sim::gf_pq_into(
+                    &mut self.parity[p_off..p_off + len],
+                    &mut self.q[p_off..p_off + len],
+                    &self.data[d_off..d_off + (run * SECTOR_SIZE) as usize],
+                    (s / su) as u32,
                 );
             }
             s += run;
@@ -397,6 +404,45 @@ mod tests {
             prop_assert_eq!(recycled.parity(), fresh.parity());
             for k in 0..4 {
                 prop_assert_eq!(recycled.unit_data(k), fresh.unit_data(k));
+            }
+        }
+
+        /// Dual parity under any chunking: whether a fill covers part of
+        /// a unit, crosses a unit boundary or spans several whole units,
+        /// P and Q after every fill equal a per-unit scalar-reference
+        /// encode of the data written so far, and P and the row hull
+        /// equal the single-parity buffer's.
+        #[test]
+        fn dual_parity_matches_per_unit_reference(
+            chunks in prop::collection::vec(1u64..=12, 1..10),
+            seed in 0u64..64,
+        ) {
+            let (d, su) = (4u64, 4u64);
+            let su_bytes = (su * SECTOR_SIZE) as usize;
+            let mut dual = StripeBuffer::with_parity(0, d, su, 2);
+            let mut single = StripeBuffer::new(0, d, su);
+            let mut rng = sim::SimRng::new(seed);
+            let mut written = 0u64;
+            for c in chunks {
+                let n = c.min(d * su - written);
+                if n == 0 { break; }
+                let mut data = vec![0u8; (n * SECTOR_SIZE) as usize];
+                rng.fill_bytes(&mut data);
+                prop_assert_eq!(dual.fill(&data), single.fill(&data));
+                written += n;
+                let mut p = vec![0u8; su_bytes];
+                let mut q = vec![0u8; su_bytes];
+                for k in 0..d {
+                    sim::xor::xor_into_scalar_reference(&mut p, dual.unit_data(k));
+                    sim::gf::gf_mul_into_scalar_reference(
+                        &mut q,
+                        dual.unit_data(k),
+                        sim::gf_pow(2, k as u32),
+                    );
+                }
+                prop_assert_eq!(&p[..], dual.parity());
+                prop_assert_eq!(&p[..], single.parity());
+                prop_assert_eq!(&q[..], dual.q_parity());
             }
         }
     }

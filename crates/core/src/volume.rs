@@ -27,6 +27,7 @@ use crate::stats::{AtomicRaiznStats, RaiznStats};
 use crate::stripe::StripeBuffer;
 use crate::Result;
 use parking_lot::{Mutex, RwLock};
+use sim::gf::{Decode, Slot};
 use sim::SimTime;
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -35,18 +36,6 @@ use zns::{
     AppendCompletion, IoCompletion, Lba, WriteFlags, ZnsDevice, ZnsError, ZoneGeometry, ZoneInfo,
     ZoneState, ZonedVolume, SECTOR_SIZE,
 };
-
-/// What a device stores for one particular stripe (the roles rotate per
-/// stripe and zone; see [`RaiznLayout`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum SlotRole {
-    /// Data unit `k` of the stripe.
-    Data(u64),
-    /// The XOR parity unit.
-    P,
-    /// The Reed–Solomon Q parity unit (dual-parity mode only).
-    Q,
-}
 
 /// Which metadata zone a record goes to (§4.3: partial parity is isolated
 /// in its own zone; everything else shares the general zone).
@@ -234,6 +223,10 @@ pub struct RaiznVolume {
     shard_locks: obs::LockStats,
     /// Wall-clock contention statistics for the meta lock (gauge id 1).
     meta_locks: obs::LockStats,
+    /// Reusable fetch buffers of degraded-read reconstructions, one per
+    /// reconstruction in flight. A leaf lock: nothing else is taken while
+    /// it is held.
+    recon_scratch: Mutex<Vec<Vec<u8>>>,
 }
 
 impl std::fmt::Debug for RaiznVolume {
@@ -595,6 +588,7 @@ impl RaiznVolume {
             recorder: RwLock::new(None),
             shard_locks: obs::LockStats::new(),
             meta_locks: obs::LockStats::new(),
+            recon_scratch: Mutex::new(Vec::new()),
         }
     }
 
@@ -1336,16 +1330,17 @@ impl RaiznVolume {
         self.fetch_device_rows(devices, at, lzone, stripe, dev, row0, out)
     }
 
-    /// The role a device plays in one stripe: a data unit, the P (XOR)
+    /// The role a device plays in one stripe (the roles rotate per
+    /// stripe and zone; see [`RaiznLayout`]): a data unit, the P (XOR)
     /// parity, or the Q (Reed–Solomon) parity.
-    fn slot_role(&self, lzone: u32, stripe: u64, dev: u32) -> SlotRole {
+    fn slot_role(&self, lzone: u32, stripe: u64, dev: u32) -> Slot {
         match self.layout.unit_of_device(lzone, stripe, dev) {
-            Some(k) => SlotRole::Data(k),
+            Some(k) => Slot::Data(k as usize),
             None => {
                 if dev == self.layout.parity_device(lzone, stripe) {
-                    SlotRole::P
+                    Slot::P
                 } else {
-                    SlotRole::Q
+                    Slot::Q
                 }
             }
         }
@@ -1355,11 +1350,9 @@ impl RaiznVolume {
     /// `(lzone, stripe)` from the surviving devices (§4.2). The stripe
     /// must be complete (parity present).
     ///
-    /// Erasure decode is syndrome-based: `sp` accumulates the XOR of every
-    /// available data unit plus P, `sq` accumulates `g^k ·` every
-    /// available data unit plus Q (generator `g = 2` in GF(2^8)). With one
-    /// erasure the relevant syndrome *is* the missing slot; with two
-    /// erasures (RAIZN-2) the pair is solved with [`sim::rs_solve_two`].
+    /// The surviving slots the erasure pattern needs (see
+    /// [`sim::gf::Decode`]) are fetched into pooled scratch, then one
+    /// fused pass forms the syndromes and solves for the missing slot.
     /// Devices in the failed set whose slots are not served by the
     /// relocation cache count as erased alongside `missing_dev`; more
     /// erasures than parity units is unrecoverable.
@@ -1398,127 +1391,25 @@ impl RaiznVolume {
         if missing.count_ones() > self.layout.parity_units() {
             return Err(ZnsError::DeviceFailed);
         }
-        let target = self.slot_role(lzone, stripe, missing_dev);
-        // A *source* slot can turn out unreadable mid-decode (a latent
-        // media error on a second device); with parity headroom left it
-        // joins the erasure set and the decode restarts.
-        let (mut sp, mut sq, other, done) = 'retry: loop {
-            let other = {
-                let rest = missing & !(1u64 << missing_dev);
-                if rest == 0 {
-                    None
-                } else {
-                    Some(self.slot_role(lzone, stripe, rest.trailing_zeros()))
-                }
-            };
-            // Which syndromes this erasure pattern needs.
-            let (need_sp, need_sq) = match (target, other) {
-                (SlotRole::Data(_) | SlotRole::P, None) => (true, false),
-                (SlotRole::Q, None) => (false, true),
-                (SlotRole::Data(_), Some(SlotRole::Data(_))) => (true, true),
-                (SlotRole::Data(_), Some(SlotRole::P)) | (SlotRole::P, Some(SlotRole::Data(_))) => {
-                    // D_j comes out of sq alone; recovering P additionally
-                    // needs the XOR of the available data (sp).
-                    (matches!(target, SlotRole::P), true)
-                }
-                (SlotRole::Data(_), Some(SlotRole::Q)) | (SlotRole::Q, Some(SlotRole::Data(_))) => {
-                    (true, matches!(target, SlotRole::Q))
-                }
-                (SlotRole::P, Some(SlotRole::Q)) | (SlotRole::Q, Some(SlotRole::P)) => {
-                    (matches!(target, SlotRole::P), matches!(target, SlotRole::Q))
-                }
-                (SlotRole::P, Some(SlotRole::P)) | (SlotRole::Q, Some(SlotRole::Q)) => {
-                    return Err(internal("duplicate parity role in erasure set"))
-                }
-            };
-            let mut sp = vec![0u8; if need_sp { out.len() } else { 0 }];
-            let mut sq = vec![0u8; if need_sq { out.len() } else { 0 }];
-            let mut tmp = vec![0u8; out.len()];
-            let mut done = at;
-            for dev in 0..n {
-                if missing & (1u64 << dev) != 0 {
-                    continue;
-                }
-                let role = self.slot_role(lzone, stripe, dev);
-                let (to_sp, to_sq) = match role {
-                    SlotRole::Data(_) => (need_sp, need_sq),
-                    SlotRole::P => (need_sp, false),
-                    SlotRole::Q => (false, need_sq),
-                };
-                if !to_sp && !to_sq {
-                    continue;
-                }
-                let t = match self
-                    .fetch_slot_rows_live(devices, at, lzone, stripe, dev, row0, &mut tmp)
-                {
-                    Ok(t) => t,
-                    Err(
-                        e @ (ZnsError::MediaError { .. }
-                        | ZnsError::TransientError { .. }
-                        | ZnsError::DeviceFailed),
-                    ) => {
-                        if missing.count_ones() >= self.layout.parity_units() {
-                            return Err(e);
-                        }
-                        missing |= 1u64 << dev;
-                        continue 'retry;
-                    }
-                    Err(e) => return Err(e),
-                };
-                done = done.max(t);
-                if to_sp {
-                    xor_into(&mut sp, &tmp);
-                }
-                if to_sq {
-                    match role {
-                        SlotRole::Data(k) => {
-                            sim::gf_mul_into(&mut sq, &tmp, sim::gf_pow(2, k as u32))
-                        }
-                        SlotRole::Q => xor_into(&mut sq, &tmp),
-                        SlotRole::P => {}
-                    }
-                }
-            }
-            break 'retry (sp, sq, other, done);
-        };
-        let double = other.is_some();
+        // Scratch comes from a pool, so it is bounded by the
+        // reconstructions in flight; the pool lock is a leaf lock.
+        let mut scratch = self.recon_scratch.lock().pop().unwrap_or_default();
+        let res = self.decode_slot_rows(
+            devices,
+            at,
+            lzone,
+            stripe,
+            missing_dev,
+            missing,
+            row0,
+            out,
+            &mut scratch,
+        );
+        self.recon_scratch.lock().push(scratch);
+        let (done, double) = res?;
         if double {
             AtomicRaiznStats::add(&self.stats.double_degraded_reads, 1);
             self.bump(obs::Counter::DoubleDegradedReads);
-        }
-        match (target, other) {
-            // One erasure: the syndrome is the slot.
-            (SlotRole::Data(_) | SlotRole::P, None) => out.copy_from_slice(&sp),
-            (SlotRole::Q, None) => out.copy_from_slice(&sq),
-            // Two data units: solve the 2x2 Vandermonde system.
-            (SlotRole::Data(j), Some(SlotRole::Data(k))) => {
-                sim::rs_solve_two(&mut sp, &mut sq, j as u32, k as u32);
-                // rs_solve_two leaves D_j in sq and D_k in sp.
-                out.copy_from_slice(&sq);
-            }
-            // Data + P: sq collapses to g^j · D_j.
-            (SlotRole::Data(j), Some(SlotRole::P)) => {
-                sim::gf_scale(&mut sq, sim::gf_inv(sim::gf_pow(2, j as u32)));
-                out.copy_from_slice(&sq);
-            }
-            (SlotRole::P, Some(SlotRole::Data(j))) => {
-                sim::gf_scale(&mut sq, sim::gf_inv(sim::gf_pow(2, j as u32)));
-                xor_into(&mut sp, &sq);
-                out.copy_from_slice(&sp);
-            }
-            // Data + Q: sp is D_j; Q follows from re-encoding it.
-            (SlotRole::Data(_), Some(SlotRole::Q)) => out.copy_from_slice(&sp),
-            (SlotRole::Q, Some(SlotRole::Data(j))) => {
-                sim::gf_mul_into(&mut sq, &sp, sim::gf_pow(2, j as u32));
-                out.copy_from_slice(&sq);
-            }
-            // P + Q: each syndrome is its parity over the (all available)
-            // data units.
-            (SlotRole::P, Some(SlotRole::Q)) => out.copy_from_slice(&sp),
-            (SlotRole::Q, Some(SlotRole::P)) => out.copy_from_slice(&sq),
-            (SlotRole::P, Some(SlotRole::P)) | (SlotRole::Q, Some(SlotRole::Q)) => unreachable!(),
-        }
-        if double {
             self.trace_span(
                 obs::OpClass::Read,
                 obs::Stage::WholeOp,
@@ -1531,6 +1422,84 @@ impl RaiznVolume {
             );
         }
         Ok(done)
+    }
+
+    /// The body of [`Self::reconstruct_slot_rows`]: fetches into
+    /// `scratch` and decodes. Returns the completion time and whether
+    /// the decode covered two erasures.
+    #[allow(clippy::too_many_arguments)]
+    fn decode_slot_rows(
+        &self,
+        devices: &[Arc<ZnsDevice>],
+        at: SimTime,
+        lzone: u32,
+        stripe: u64,
+        missing_dev: u32,
+        mut missing: u64,
+        row0: u64,
+        out: &mut [u8],
+        scratch: &mut Vec<u8>,
+    ) -> Result<(SimTime, bool)> {
+        let n = self.layout.devices();
+        let d = self.layout.data_units() as usize;
+        let len = out.len();
+        let target = self.slot_role(lzone, stripe, missing_dev);
+        // A *source* slot can turn out unreadable mid-decode (a latent
+        // media error on a second device); with parity headroom left it
+        // joins the erasure set and the decode restarts.
+        'retry: loop {
+            let rest = missing & !(1u64 << missing_dev);
+            let other = (rest != 0).then(|| self.slot_role(lzone, stripe, rest.trailing_zeros()));
+            if other == Some(target) {
+                return Err(internal("duplicate parity role in erasure set"));
+            }
+            let dec = Decode::new(d, target, other);
+            let reads = (0..n)
+                .filter(|&dev| {
+                    missing & (1u64 << dev) == 0 && dec.reads(self.slot_role(lzone, stripe, dev))
+                })
+                .count();
+            if scratch.len() < reads * len {
+                scratch.resize(reads * len, 0);
+            }
+            let mut free = &mut scratch[..reads * len];
+            let mut data: [&[u8]; 64] = [&[]; 64];
+            let (mut p, mut q): (&[u8], &[u8]) = (&[], &[]);
+            let mut done = at;
+            for dev in 0..n {
+                if missing & (1u64 << dev) != 0 {
+                    continue;
+                }
+                let role = self.slot_role(lzone, stripe, dev);
+                if !dec.reads(role) {
+                    continue;
+                }
+                let (buf, rest) = std::mem::take(&mut free).split_at_mut(len);
+                free = rest;
+                match self.fetch_slot_rows_live(devices, at, lzone, stripe, dev, row0, buf) {
+                    Ok(t) => done = done.max(t),
+                    Err(
+                        e @ (ZnsError::MediaError { .. }
+                        | ZnsError::TransientError { .. }
+                        | ZnsError::DeviceFailed),
+                    ) => {
+                        if missing.count_ones() >= self.layout.parity_units() {
+                            return Err(e);
+                        }
+                        missing |= 1u64 << dev;
+                        continue 'retry;
+                    }
+                    Err(e) => return Err(e),
+                }
+                match role {
+                    Slot::Data(k) => data[k] = buf,
+                    Slot::P => p = buf,
+                    Slot::Q => q = buf,
+                }
+            }
+            dec.run(out, &data[..d], p, q);
+            return Ok((done, other.is_some()));
+        }
     }
 
     // ------------------------------------------------------------------
@@ -1755,22 +1724,27 @@ impl RaiznVolume {
         let stripe_data = self.layout.stripe_data_sectors();
         let unit_bytes = (su * SECTOR_SIZE) as usize;
         let mut report = ScrubReport::default();
+        let d = self.layout.data_units() as usize;
         let mut acc_p = vec![0u8; unit_bytes];
         let mut acc_q = vec![0u8; if dual { unit_bytes } else { 0 }];
-        let mut slot = vec![0u8; unit_bytes];
+        // Every slot of the stripe, staged by role: data units 0..d, then
+        // P, then Q.
+        let mut slots = vec![0u8; self.layout.devices() as usize * unit_bytes];
         for lz in 0..self.layout.logical_zones() {
             let mut z = self.lock_shard(lz);
             let full_stripes = z.wp / stripe_data;
             for stripe in 0..full_stripes {
-                acc_p.fill(0);
-                acc_q.fill(0);
                 for dev in 0..self.layout.devices() {
-                    match self.fetch_slot_rows_live(&devices, at, lz, stripe, dev, 0, &mut slot) {
+                    let idx = match self.slot_role(lz, stripe, dev) {
+                        Slot::Data(k) => k,
+                        Slot::P => d,
+                        Slot::Q => d + 1,
+                    };
+                    let slot = &mut slots[idx * unit_bytes..(idx + 1) * unit_bytes];
+                    match self.fetch_slot_rows_live(&devices, at, lz, stripe, dev, 0, slot) {
                         Ok(_) => {}
                         Err(ZnsError::MediaError { .. }) => {
-                            self.reconstruct_slot_rows(
-                                &devices, at, lz, stripe, dev, 0, &mut slot,
-                            )?;
+                            self.reconstruct_slot_rows(&devices, at, lz, stripe, dev, 0, slot)?;
                             self.relocate_repaired_unit(
                                 &mut z,
                                 &devices,
@@ -1778,7 +1752,7 @@ impl RaiznVolume {
                                 lz,
                                 stripe,
                                 dev,
-                                slot.clone(),
+                                slot.to_vec(),
                                 su,
                             )?;
                             report.units_healed += 1;
@@ -1786,18 +1760,18 @@ impl RaiznVolume {
                         }
                         Err(e) => return Err(e),
                     }
-                    // Role-aware accumulation: the P syndrome folds data
-                    // and stored P, the Q syndrome folds g^k-scaled data
-                    // and stored Q; each vanishes iff its parity is right.
-                    match self.slot_role(lz, stripe, dev) {
-                        SlotRole::Data(k) => {
-                            xor_into(&mut acc_p, &slot);
-                            if dual {
-                                sim::gf_mul_into(&mut acc_q, &slot, sim::gf_pow(2, k as u32));
-                            }
-                        }
-                        SlotRole::P => xor_into(&mut acc_p, &slot),
-                        SlotRole::Q => xor_into(&mut acc_q, &slot),
+                }
+                // The P syndrome folds data and stored P, the Q syndrome
+                // g^k-scaled data and stored Q; each vanishes iff its
+                // parity is right.
+                let (data, parity) = slots.split_at(d * unit_bytes);
+                acc_p.copy_from_slice(&parity[..unit_bytes]);
+                if dual {
+                    acc_q.copy_from_slice(&parity[unit_bytes..]);
+                    sim::gf_pq_into(&mut acc_p, &mut acc_q, data, 0);
+                } else {
+                    for unit in data.chunks_exact(unit_bytes) {
+                        xor_into(&mut acc_p, unit);
                     }
                 }
                 report.stripes_checked += 1;

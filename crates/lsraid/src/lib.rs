@@ -281,8 +281,6 @@ struct LsInner {
     created_seq: u64,
     /// Pool of parity accumulators (one per possible open group).
     bufs: Vec<StripeBuf>,
-    /// Zero source for padding (one stripe unit).
-    zeros: Vec<u8>,
     /// Bounce buffer for emergency-GC migration reads.
     gc_buf: Vec<u8>,
     meta: MetaLog,
@@ -327,6 +325,10 @@ pub struct LsVolume {
     /// Metadata headroom (sectors) that forces early rotation so the
     /// rotation's own pad-seal summaries still fit.
     meta_headroom: u64,
+    /// Zero source for padding (one stripe unit). Immutable and outside
+    /// [`LsInner`], so a pad nested inside another pad (metadata rotation
+    /// during a flush) still reads it.
+    zeros: Box<[u8]>,
     inner: Mutex<LsInner>,
     recorder: RwLock<Option<Arc<obs::Recorder>>>,
 }
@@ -585,7 +587,6 @@ impl LsVolume {
             in_emergency: false,
             created_seq: 0,
             bufs,
-            zeros: vec![0u8; (k * SECTOR_SIZE) as usize],
             gc_buf: vec![0u8; (k * SECTOR_SIZE) as usize],
             meta: MetaLog {
                 slot: 0,
@@ -618,6 +619,7 @@ impl LsVolume {
             kd,
             group_cap,
             meta_headroom,
+            zeros: vec![0u8; (k * SECTOR_SIZE) as usize].into_boxed_slice(),
             inner: Mutex::new(inner),
             recorder: RwLock::new(None),
         })
@@ -1412,13 +1414,11 @@ impl LsVolume {
                 grp.stripe_issue = grp.stripe_issue.max(c.done);
                 let buf = grp.buf.as_mut().expect("open group has a stripe buffer");
                 let bo = (sec * SECTOR_SIZE) as usize;
-                sim::xor_into(&mut buf.p[bo..bo + chunk.len()], chunk);
+                let end = bo + chunk.len();
                 if self.p == 2 {
-                    sim::gf_mul_into(
-                        &mut buf.q[bo..bo + chunk.len()],
-                        chunk,
-                        sim::gf_pow(2, unit as u32),
-                    );
+                    sim::gf_pq_into(&mut buf.p[bo..end], &mut buf.q[bo..end], chunk, unit as u32);
+                } else {
+                    sim::xor_into(&mut buf.p[bo..end], chunk);
                 }
             }
             match mode {
@@ -1564,9 +1564,7 @@ impl LsVolume {
     /// Zero-pads every open stream to its next stripe boundary so all
     /// logged data becomes parity-protected and summarized.
     fn pad_seal(&self, inner: &mut LsInner, at: SimTime) -> Result<SimTime> {
-        let zeros = std::mem::take(&mut inner.zeros);
         let mut t = at;
-        let mut res = Ok(());
         for stream in 0..STREAMS {
             let Some(g) = inner.open[stream] else {
                 continue;
@@ -1578,28 +1576,18 @@ impl LsVolume {
             let mut pad = self.kd - fill;
             while pad > 0 {
                 let chunk = pad.min(self.k);
-                match self.log_data(
+                t = self.log_data(
                     inner,
                     t,
-                    &zeros[..(chunk * SECTOR_SIZE) as usize],
+                    &self.zeros[..(chunk * SECTOR_SIZE) as usize],
                     LogMode::Pad,
                     0,
                     stream,
-                ) {
-                    Ok(done) => t = done,
-                    Err(e) => {
-                        res = Err(e);
-                        break;
-                    }
-                }
+                )?;
                 pad -= chunk;
             }
-            if res.is_err() {
-                break;
-            }
         }
-        inner.zeros = zeros;
-        res.map(|()| t)
+        Ok(t)
     }
 
     /// Durability barrier: pad-seals every stream, then flushes every
@@ -1936,6 +1924,7 @@ impl LsVolume {
         let bytes = (self.k * SECTOR_SIZE) as usize;
         let mut acc = vec![0u8; bytes];
         let mut qacc = vec![0u8; bytes];
+        let mut units = vec![0u8; self.d * bytes];
         let mut unit_buf = vec![0u8; bytes];
         for grp in &inner.groups {
             if grp.state == GState::Free {
@@ -1945,17 +1934,16 @@ impl LsVolume {
                 rep.stripes += 1;
                 acc.fill(0);
                 qacc.fill(0);
-                for unit in 0..self.d {
+                for (unit, buf) in units.chunks_exact_mut(bytes).enumerate() {
                     let dev = self.data_dev(stripe, unit);
                     let z = grp.zones[dev];
-                    self.devices[dev].read(
-                        at,
-                        self.phys.zone_start(z) + stripe * self.k,
-                        &mut unit_buf,
-                    )?;
-                    sim::xor_into(&mut acc, &unit_buf);
-                    if self.p == 2 {
-                        sim::gf_mul_into(&mut qacc, &unit_buf, sim::gf_pow(2, unit as u32));
+                    self.devices[dev].read(at, self.phys.zone_start(z) + stripe * self.k, buf)?;
+                }
+                if self.p == 2 {
+                    sim::gf_pq_into(&mut acc, &mut qacc, &units, 0);
+                } else {
+                    for unit in units.chunks_exact(bytes) {
+                        sim::xor_into(&mut acc, unit);
                     }
                 }
                 let pdev = (stripe % self.n as u64) as usize;

@@ -2,7 +2,7 @@
 //! semantics, padding and WAF accounting, scrub, GC, crash recovery and
 //! metadata-log rotation.
 
-use lsraid::{DirectSink, GcConfig, GcManager, LsConfig, LsVolume};
+use lsraid::{DirectSink, GcConfig, GcManager, GcSink, LsConfig, LsVolume};
 use sim::SimTime;
 use std::sync::Arc;
 use zns::{CrashPolicy, WriteFlags, ZnsConfig, ZnsDevice, ZonedVolume, SECTOR_SIZE};
@@ -353,4 +353,59 @@ fn sequential_rule_enforced_for_foreground() {
         vol.read(T0, 0, &mut buf),
         Err(zns::ZnsError::ReadUnwritten { .. })
     ));
+}
+
+/// Metadata rotation nested inside padding. A flush pads the hot
+/// stream; the pad seals a stripe, its summary record fills the metadata
+/// log, and the rotation's own flush pads the cold stream that the outer
+/// pad has not reached yet. Each round leaves one partial stripe in both
+/// streams (a one-sector user write and a one-sector migration) and
+/// flushes; the padding soon drains the free pool, so emergency reclaims
+/// take the same reclaim → flush → pad path. Rotations land inside pads
+/// again and again.
+#[test]
+fn meta_rotation_inside_pad_pads_the_other_streams() {
+    let vol = LsVolume::format(devices(5), LsConfig::default(), T0).unwrap();
+    let geo = vol.geometry();
+    let (zones, cap) = (geo.num_zones() / 2, geo.zone_cap());
+    for z in 0..zones {
+        write_zone(&vol, z, 0);
+    }
+    // Zone 0 is rewritten one sector per round; the rest stay version 0.
+    vol.reset_zone(T0, 0).unwrap();
+    let mut hot = 0u64;
+    let mut sink = DirectSink::new(&vol);
+    let mut buf = vec![0u8; SECTOR_SIZE as usize];
+    let mut round = 0u64;
+    while vol.stats().meta_rotations < 4 {
+        assert!(round < 1000, "metadata log never rotated");
+        if hot == cap {
+            vol.reset_zone(T0, 0).unwrap();
+            hot = 0;
+        }
+        vol.write(T0, hot, &pattern(hot, 1, round), WriteFlags::default())
+            .unwrap();
+        hot += 1;
+        let g = vol.pick_victim(0.0, usize::MAX).expect("a victim");
+        assert!(vol.begin_migration(g));
+        if let Some((lba, _, _)) = vol.next_valid_run(g, 0, 1) {
+            vol.read(T0, lba, &mut buf).unwrap();
+            sink.migrate(T0, lba, &buf).unwrap();
+        }
+        vol.end_migration();
+        vol.flush(T0).unwrap();
+        round += 1;
+    }
+    assert!(vol.stats().emergency_reclaims > 0);
+    let mut got = vec![0u8; (hot * SECTOR_SIZE) as usize];
+    vol.read(T0, 0, &mut got).unwrap();
+    for (s, sector) in got.chunks_exact(SECTOR_SIZE as usize).enumerate() {
+        let s = s as u64;
+        // Sector s of the current pass went in at round (round - hot + s).
+        assert_eq!(sector, pattern(s, 1, round - hot + s), "zone 0 sector {s}");
+    }
+    for z in 1..zones {
+        verify_zone(&vol, z, 0);
+    }
+    assert_eq!(vol.scrub(T0).unwrap().parity_errors, 0);
 }

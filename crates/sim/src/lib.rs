@@ -21,8 +21,9 @@
 //! - [`SimRng`]: a deterministic, seedable RNG wrapper.
 //! - [`xor`]: word-vectorized XOR/zero-check kernels shared by every
 //!   parity hot path (stripe fill, reconstruction, rebuild, mdraid5).
-//! - [`gf`]: word-vectorized GF(2^8) Reed–Solomon kernels for the dual
-//!   (P+Q) parity mode, plus the two-erasure decode solver.
+//! - [`gf`]: blocked GF(2^8) Reed–Solomon kernels for the dual (P+Q)
+//!   parity mode: one-pass Horner syndromes and a one-output erasure
+//!   decode.
 //!
 //! # Examples
 //!
@@ -50,7 +51,7 @@ mod stats;
 mod time;
 pub mod xor;
 
-pub use gf::{gf_inv, gf_mul, gf_mul_into, gf_pow, gf_scale, rs_solve_two};
+pub use gf::{gf_inv, gf_mul, gf_mul_into, gf_pow, gf_pq_into};
 pub use histogram::Histogram;
 pub use latency::ChannelModel;
 pub use occupancy::{OccupancyModel, Occupied};
