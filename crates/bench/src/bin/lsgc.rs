@@ -15,16 +15,19 @@
 //! per target, and the span-blame/breakdown pair (`report --explain`
 //! bounds the GC interference share from the spans artifact).
 //!
-//! Gates (all hard): zero pp-log appends, measured-phase WAF at most
-//! [`WAF_MAX`], at least one background reclaim, emergency reclaims at
-//! most a quarter of all reclaims, lsraid band ratio at least
-//! [`FLAT_MIN`], mdraid cliff below [`DECLINE_MAX`], and the lsraid
-//! band must beat the mdraid cliff.
+//! Gates (all hard): at least one background reclaim, emergency
+//! reclaims at most a quarter of all reclaims, lsraid band ratio at
+//! least [`FLAT_MIN`] and mdraid cliff below [`DECLINE_MAX`] stop the
+//! run where they fail. Zero pp-log appends, measured-phase WAF at most
+//! [`WAF_MAX`] and an lsraid band that beats the mdraid cliff are
+//! `bench::lsgc::lsgc_slos` rows: written into `BENCH_lsgc.json`'s `slo`
+//! array first and checked last, so a failing run leaves its numbers on
+//! disk; `report BENCH_lsgc.json` re-checks them.
 
 use bench::lifecycle::{cliff_ratio, flat_ratio};
 use bench::lsgc::{
-    drive, gc_config, lsgc_json, lsgc_scheduler, overwrite_offsets, phase_waf, LsOutcome,
-    MdOutcome, QosGcSink, AGE_OPS, BLOCK, OVERWRITE_OPS, WAF_MAX, ZONES, ZONE_SECTORS,
+    drive, gc_config, lsgc_json, lsgc_scheduler, lsgc_slos, overwrite_offsets, phase_waf,
+    LsOutcome, MdOutcome, QosGcSink, AGE_OPS, BLOCK, OVERWRITE_OPS, ZONES, ZONE_SECTORS,
 };
 use bench::{gate, BenchError, TimelineRun};
 use lsraid::{GcManager, LsConfig};
@@ -84,16 +87,7 @@ fn main() -> bench::BenchResult {
     )?;
     let post = vol.stats();
 
-    let pp_log = run.recorder().count(obs::Counter::PpLogWrites);
-    gate!(
-        pp_log == 0,
-        "lsraid took {pp_log} partial-parity-log paths under overwrite"
-    );
     let waf = phase_waf(&pre, &post);
-    gate!(
-        waf <= WAF_MAX,
-        "measured-phase WAF {waf:.3} exceeds {WAF_MAX}"
-    );
     let reclaims = post.group_reclaims - pre.group_reclaims;
     let emergency = post.emergency_reclaims - pre.emergency_reclaims;
     gate!(reclaims > 0, "background GC never reclaimed a group");
@@ -109,6 +103,7 @@ fn main() -> bench::BenchResult {
         reclaims,
         emergency,
         migrated: post.migrated_sectors - pre.migrated_sectors,
+        pp_log_writes: run.recorder().count(obs::Counter::PpLogWrites),
         tenants: sched.stats(),
     };
     let ls_flat = flat_ratio(&ls.windows_mib_s)
@@ -140,10 +135,6 @@ fn main() -> bench::BenchResult {
     gate!(
         md_cliff <= DECLINE_MAX,
         "mdraid baseline did not decline (cliff {md_cliff:.3}); the scenario lost its contrast"
-    );
-    gate!(
-        ls_flat > md_cliff,
-        "lsraid band ({ls_flat:.3}) does not beat the mdraid cliff ({md_cliff:.3})"
     );
     md_run.finish(md_end)?;
 
@@ -179,7 +170,13 @@ fn main() -> bench::BenchResult {
         ls.migrated
     );
 
-    std::fs::write("BENCH_lsgc.json", lsgc_json(&ls, ls_flat, &md, md_cliff))?;
+    let slos = lsgc_slos(&ls, ls_flat, md_cliff);
+    std::fs::write(
+        "BENCH_lsgc.json",
+        lsgc_json(&ls, ls_flat, &md, md_cliff, &slos),
+    )?;
     println!("summary -> BENCH_lsgc.json");
-    bench::write_breakdown("lsgc")
+    bench::write_breakdown("lsgc")?;
+    println!();
+    bench::check_slos("BENCH_lsgc.json", &slos)
 }

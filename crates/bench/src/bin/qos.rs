@@ -6,7 +6,7 @@
 //!
 //! 1. **Isolation**: a reserved victim tenant runs solo, then again
 //!    beside a noisy neighbor offering ~10x its load. The victim's p99
-//!    must barely move (gate: ratio < 1.25, evaluated by `report`).
+//!    must barely move (gate: ratio <= 1.25).
 //! 2. **Fairness**: three backlogged tenants with weights 1/2/4 share a
 //!    depth-2 server for a fixed virtual-time window; completed ops per
 //!    weight must be near-uniform (gates: Jain index >= 0.95, per-tenant
@@ -15,14 +15,18 @@
 //!    stripe unit per IO) runs with the coalescer off, then on. Merged
 //!    stripe-aligned batches must convert partial-parity log appends
 //!    into full-stripe parity writes (gate: the full-parity/pp-log
-//!    ratio rises).
+//!    ratio rises at least 2x).
 //!
 //! Emits `BENCH_qos.json` (all numbers above, plus per-tenant
 //! accounting) and `BENCH_qos_timeline.json` (window digests and
 //! per-tenant scheduler gauges captured during the contended isolation
-//! phase). SLO gates over the JSON run in `report --qos` and are wired
-//! into `scripts/check.sh`.
+//! phase). The four gates above are SLO rows: written into the
+//! artifact's `slo` array first and checked last, so a failing run
+//! leaves its numbers on disk; `report BENCH_qos.json` re-checks them
+//! in `scripts/check.sh`.
 
+use bench::lifecycle::{join, tenant_json};
+use bench::{recorded, Slo, SloOp};
 use qos::{QosConfig, QosScheduler, TenantSnapshot, TenantSpec};
 use sim::SimDuration;
 use std::sync::Arc;
@@ -66,18 +70,6 @@ fn jain(x: &[f64]) -> f64 {
     } else {
         sum * sum / (n * sq)
     }
-}
-
-fn tenant_json(t: &TenantSnapshot) -> String {
-    format!(
-        "{{\"name\": \"{}\", \"admitted\": {}, \"completed\": {}, \"shed\": {}, \
-         \"deferred\": {}, \"batches\": {}, \"merged\": {}, \"bytes\": {}}}",
-        t.name, t.admitted, t.completed, t.shed, t.deferred, t.batches, t.merged, t.bytes
-    )
-}
-
-fn join(parts: impl IntoIterator<Item = String>) -> String {
-    parts.into_iter().collect::<Vec<_>>().join(", ")
 }
 
 struct Isolation {
@@ -290,6 +282,17 @@ fn main() -> bench::BenchResult {
         "coalescer merged nothing on an adjacent sequential stream"
     );
     let uplift = on.full_per_pp() / off.full_per_pp().max(f64::MIN_POSITIVE);
+    let slos = [
+        Slo::new(
+            "qos_isolation_p99_ratio",
+            recorded(iso.p99_ratio()),
+            SloOp::Le,
+            1.25,
+        ),
+        Slo::new("qos_fairness_jain", recorded(jain_idx), SloOp::Ge, 0.95),
+        Slo::new("qos_weight_share_dev", recorded(max_dev), SloOp::Le, 0.10),
+        Slo::new("qos_coalesce_uplift", recorded(uplift), SloOp::Ge, 2.0),
+    ];
 
     let json = format!(
         "{{\n  \"kind\": \"qos\",\n  \"isolation\": {{\n    \"victim_solo_p50_ns\": {},\n    \
@@ -302,7 +305,7 @@ fn main() -> bench::BenchResult {
          \"coalesce\": {{\n    \"off\": {{\"pp_log_entries\": {}, \"full_parity_writes\": {}, \
          \"full_per_pp\": {:.4}}},\n    \"on\": {{\"pp_log_entries\": {}, \
          \"full_parity_writes\": {}, \"full_per_pp\": {:.4}, \"merged\": {}, \"batches\": {}, \
-         \"coalesce_ratio\": {:.4}}},\n    \"uplift\": {:.4}\n  }}\n}}\n",
+         \"coalesce_ratio\": {:.4}}},\n    \"uplift\": {:.4}\n  }},\n  \"slo\": {}\n}}\n",
         iso.solo.jobs[0].p50().as_nanos(),
         iso.solo.jobs[0].p99().as_nanos(),
         iso.contended.jobs[0].p50().as_nanos(),
@@ -329,6 +332,7 @@ fn main() -> bench::BenchResult {
         on.tenant.batches,
         on.tenant.coalesce_ratio(),
         uplift,
+        bench::slo_json(&slos),
     );
     std::fs::write("BENCH_qos.json", &json)?;
     println!("qos results -> BENCH_qos.json");
@@ -400,5 +404,6 @@ fn main() -> bench::BenchResult {
 
     bench::write_breakdown("qos")?;
     bench::write_spans("qos", &bench::recorder())?;
-    Ok(())
+    println!();
+    bench::check_slos("BENCH_qos.json", &slos)
 }

@@ -9,34 +9,16 @@
 //!
 //! ```text
 //! report [OPTIONS] [FILE...]
-//!   FILE                  timeline artifact to render
+//!   FILE                  timeline artifact to render, or any artifact
+//!                         with a top-level "slo" array (the scenario
+//!                         binaries' BENCH_qos/ziggurat/lsgc/hotpath.json),
+//!                         whose rows are re-checked
 //!   --expect-flat FILE    render + gate: the run holds a steady throughput
 //!                         band (min/max over active windows >= --flat-min)
 //!   --expect-decline FILE render + gate: throughput declines after an early
 //!                         peak (post-peak trough / early peak <= --decline-max)
 //!   --flat-min R          flat-band threshold (default 0.7)
 //!   --decline-max R       decline threshold (default 0.6)
-//!   --p99-factor F        additionally gate every file: worst window
-//!                         whole-op p99 <= F x whole-run p99 (0 = off)
-//!   --qos FILE            render a BENCH_qos.json artifact (per-tenant
-//!                         sections) and gate its fairness/isolation SLOs
-//!   --qos-p99-ratio R     contended/solo victim p99 ceiling (default 1.25)
-//!   --qos-jain R          Jain fairness index floor (default 0.95)
-//!   --qos-share-dev R     max per-tenant deviation of ops/weight from the
-//!                         mean share (default 0.10)
-//!   --qos-uplift R        coalescer full-parity/pp-log uplift floor
-//!                         (default 2.0)
-//!   --lifecycle FILE      render a BENCH_ziggurat.json artifact (zone
-//!                         lifecycle) and gate its cliff/flat/budget SLOs
-//!   --cliff-max R         unmanaged-run cliff ceiling: post-peak trough /
-//!                         early peak must be <= R (default 0.70)
-//!   --lifecycle-flat R    managed-run flat floor: min/max over active
-//!                         windows must be >= R (default 0.90)
-//!   --lsgc FILE           render a BENCH_lsgc.json artifact (log-structured
-//!                         RAID under sustained overwrite GC pressure) and
-//!                         gate its WAF / pp-log / band-vs-cliff SLOs
-//!   --waf-max R           lsgc write-amplification ceiling: measured-phase
-//!                         WAF must be <= R (default 1.5)
 //!   --explain FILE        render a BENCH_*_spans.json artifact (causal
 //!                         blame trees): per-tenant critical-path blame
 //!                         table plus ASCII waterfalls of the captured
@@ -61,13 +43,15 @@
 //! `SLO <check> file=<path> value=<v> threshold=<t> <PASS|FAIL>`; any FAIL
 //! exits nonzero after all lines are printed.
 //!
-//! Analysis windows: leading and trailing zero-throughput windows are
-//! trimmed (a capture may start mid-run on the virtual clock) and the
-//! final active window is dropped when possible — the run usually ends
-//! inside it, so its throughput over a full window underestimates.
+//! Analysis windows (`bench::lifecycle::active_windows`): leading and
+//! trailing zero-throughput windows are trimmed (a capture may start
+//! mid-run on the virtual clock) and the final active window is dropped
+//! when possible — the run usually ends inside it, so its throughput over
+//! a full window underestimates.
 
 use bench::json::Json;
-use bench::BenchError;
+use bench::lifecycle::{active_windows, cliff_ratio, flat_ratio};
+use bench::{BenchError, Slo, SloOp};
 use obs::BLAME_CATEGORIES;
 
 const BAR_WIDTH: usize = 40;
@@ -77,24 +61,14 @@ struct Run {
     label: String,
     path: String,
     window_secs: f64,
-    total_windows: usize,
     errors: u64,
-    /// `(start_s, throughput_mib_s, whole_op_p99_ns)` of every window.
-    windows: Vec<(f64, f64, u64)>,
-    /// Index range of the analysis windows within `windows`.
-    active: std::ops::Range<usize>,
+    /// Throughput of every window, MiB/s, untrimmed.
+    tputs: Vec<f64>,
+    /// Start of the first window with any throughput, seconds.
+    t0: f64,
     whole_run_p99_ns: u64,
     /// `(source.gauge, first mean, last mean, series count)`.
     gauges: Vec<(String, f64, f64, usize)>,
-}
-
-impl Run {
-    fn active_tputs(&self) -> Vec<f64> {
-        self.windows[self.active.clone()]
-            .iter()
-            .map(|w| w.1)
-            .collect()
-    }
 }
 
 fn req<'a>(v: &'a Json, key: &str, path: &str) -> bench::BenchResult<&'a Json> {
@@ -102,27 +76,38 @@ fn req<'a>(v: &'a Json, key: &str, path: &str) -> bench::BenchResult<&'a Json> {
         .ok_or_else(|| BenchError::Gate(format!("{path}: missing key {key:?}")))
 }
 
-fn load(path: &str) -> bench::BenchResult<Run> {
+fn parse_file(path: &str) -> bench::BenchResult<Json> {
     let text = std::fs::read_to_string(path)?;
-    let doc =
-        Json::parse(&text).map_err(|e| BenchError::Gate(format!("{path}: invalid JSON: {e}")))?;
-    let label = req(&doc, "name", path)?
-        .as_str()
-        .unwrap_or(path)
-        .to_string();
-    let window_ns = req(&doc, "window_ns", path)?
+    Json::parse(&text).map_err(|e| BenchError::Gate(format!("{path}: invalid JSON: {e}")))
+}
+
+/// The rows of an artifact's top-level `"slo"` array; `None` when the
+/// document has none (a timeline).
+fn slo_rows(doc: &Json, path: &str) -> Option<bench::BenchResult<Vec<Slo>>> {
+    let rows = doc.get("slo")?;
+    Some(
+        rows.as_arr()
+            .ok_or_else(|| BenchError::Gate(format!("{path}: slo is not an array")))
+            .and_then(|rows| rows.iter().map(Slo::from_json).collect()),
+    )
+}
+
+fn load(path: &str, doc: &Json) -> bench::BenchResult<Run> {
+    let label = req(doc, "name", path)?.as_str().unwrap_or(path).to_string();
+    let window_ns = req(doc, "window_ns", path)?
         .as_u64()
         .ok_or_else(|| BenchError::Gate(format!("{path}: window_ns is not an integer")))?;
-    let whole_run_p99_ns = req(&doc, "whole_run", path)?
+    let whole_run_p99_ns = req(doc, "whole_run", path)?
         .get("stages")
         .and_then(|s| s.get("whole_op"))
         .and_then(|s| s.get("p99_ns"))
         .and_then(Json::as_u64)
         .unwrap_or(0);
 
-    let mut windows = Vec::new();
+    let mut tputs = Vec::new();
+    let mut t0 = None;
     let mut errors = 0u64;
-    for w in req(&doc, "windows", path)?.as_arr().unwrap_or(&[]) {
+    for w in req(doc, "windows", path)?.as_arr().unwrap_or(&[]) {
         let start_s = req(w, "start_ns", path)?
             .as_u64()
             .ok_or_else(|| BenchError::Gate(format!("{path}: window start_ns is not an integer")))?
@@ -131,27 +116,12 @@ fn load(path: &str) -> bench::BenchResult<Run> {
         let tput = req(w, "throughput_mib_s", path)?
             .as_f64()
             .ok_or_else(|| BenchError::Gate(format!("{path}: throughput_mib_s is not a number")))?;
-        let p99 = w
-            .get("stages")
-            .and_then(|s| s.get("whole_op"))
-            .and_then(|s| s.get("p99_ns"))
-            .and_then(Json::as_u64)
-            .unwrap_or(0);
-        errors += w.get("errors").and_then(Json::as_u64).unwrap_or(0);
-        windows.push((start_s, tput, p99));
-    }
-
-    // Trim to the active range; drop the final (typically partial) window
-    // when at least two remain.
-    let first = windows.iter().position(|w| w.1 > 0.0);
-    let active = match first {
-        Some(first) => {
-            let last = windows.iter().rposition(|w| w.1 > 0.0).unwrap_or(first);
-            let end = if last > first { last } else { last + 1 };
-            first..end
+        if tput > 0.0 {
+            t0.get_or_insert(start_s);
         }
-        None => 0..0,
-    };
+        errors += w.get("errors").and_then(Json::as_u64).unwrap_or(0);
+        tputs.push(tput);
+    }
 
     let mut gauges: Vec<(String, f64, f64, usize)> = Vec::new();
     for g in doc
@@ -192,325 +162,12 @@ fn load(path: &str) -> bench::BenchResult<Run> {
         label,
         path: path.to_string(),
         window_secs: window_ns as f64 / 1e9,
-        total_windows: windows.len(),
         errors,
-        windows,
-        active,
+        tputs,
+        t0: t0.unwrap_or(0.0),
         whole_run_p99_ns,
         gauges,
     })
-}
-
-/// One tenant row of a qos artifact's `tenants` array.
-struct QosTenant {
-    name: String,
-    completed: u64,
-    shed: u64,
-    deferred: u64,
-    merged: u64,
-}
-
-/// A parsed `BENCH_qos.json` artifact (emitted by the `qos` binary).
-struct QosRun {
-    path: String,
-    solo_p99_ns: u64,
-    contended_p99_ns: u64,
-    p99_ratio: f64,
-    noisy_load: f64,
-    iso_tenants: Vec<QosTenant>,
-    weights: Vec<u64>,
-    ops: Vec<u64>,
-    jain: f64,
-    max_weight_dev: f64,
-    fair_tenants: Vec<QosTenant>,
-    off_full_per_pp: f64,
-    on_full_per_pp: f64,
-    uplift: f64,
-    merged: u64,
-    batches: u64,
-}
-
-fn qos_tenants(section: &Json, path: &str) -> bench::BenchResult<Vec<QosTenant>> {
-    let mut out = Vec::new();
-    for t in req(section, "tenants", path)?.as_arr().unwrap_or(&[]) {
-        let field = |k: &str| t.get(k).and_then(Json::as_u64).unwrap_or(0);
-        out.push(QosTenant {
-            name: t
-                .get("name")
-                .and_then(Json::as_str)
-                .unwrap_or("?")
-                .to_string(),
-            completed: field("completed"),
-            shed: field("shed"),
-            deferred: field("deferred"),
-            merged: field("merged"),
-        });
-    }
-    Ok(out)
-}
-
-fn load_qos(path: &str) -> bench::BenchResult<QosRun> {
-    let text = std::fs::read_to_string(path)?;
-    let doc =
-        Json::parse(&text).map_err(|e| BenchError::Gate(format!("{path}: invalid JSON: {e}")))?;
-    if req(&doc, "kind", path)?.as_str() != Some("qos") {
-        return Err(BenchError::Gate(format!("{path}: not a qos artifact")));
-    }
-    let iso = req(&doc, "isolation", path)?;
-    let fair = req(&doc, "fairness", path)?;
-    let coal = req(&doc, "coalesce", path)?;
-    let f64_of = |v: &Json, key: &str| -> bench::BenchResult<f64> {
-        req(v, key, path)?
-            .as_f64()
-            .ok_or_else(|| BenchError::Gate(format!("{path}: {key} is not a number")))
-    };
-    let u64_of = |v: &Json, key: &str| -> bench::BenchResult<u64> {
-        req(v, key, path)?
-            .as_u64()
-            .ok_or_else(|| BenchError::Gate(format!("{path}: {key} is not an integer")))
-    };
-    let u64_list = |v: &Json, key: &str| -> bench::BenchResult<Vec<u64>> {
-        Ok(req(v, key, path)?
-            .as_arr()
-            .unwrap_or(&[])
-            .iter()
-            .filter_map(Json::as_u64)
-            .collect())
-    };
-    Ok(QosRun {
-        path: path.to_string(),
-        solo_p99_ns: u64_of(iso, "victim_solo_p99_ns")?,
-        contended_p99_ns: u64_of(iso, "victim_contended_p99_ns")?,
-        p99_ratio: f64_of(iso, "p99_ratio")?,
-        noisy_load: f64_of(iso, "noisy_load_factor")?,
-        iso_tenants: qos_tenants(iso, path)?,
-        weights: u64_list(fair, "weights")?,
-        ops: u64_list(fair, "ops")?,
-        jain: f64_of(fair, "jain")?,
-        max_weight_dev: f64_of(fair, "max_weight_dev")?,
-        fair_tenants: qos_tenants(fair, path)?,
-        off_full_per_pp: f64_of(req(coal, "off", path)?, "full_per_pp")?,
-        on_full_per_pp: f64_of(req(coal, "on", path)?, "full_per_pp")?,
-        uplift: f64_of(coal, "uplift")?,
-        merged: req(coal, "on", path)?
-            .get("merged")
-            .and_then(Json::as_u64)
-            .unwrap_or(0),
-        batches: req(coal, "on", path)?
-            .get("batches")
-            .and_then(Json::as_u64)
-            .unwrap_or(0),
-    })
-}
-
-struct LsgcRun {
-    path: String,
-    flat_ratio: f64,
-    cliff_ratio: f64,
-    waf: f64,
-    pp_log_writes: u64,
-    group_reclaims: u64,
-    emergency_reclaims: u64,
-    migrated_sectors: u64,
-}
-
-/// Parses a `kind: "lsgc"` summary document (see the `lsgc` binary).
-fn lsgc_from_doc(doc: &Json, path: &str) -> bench::BenchResult<LsgcRun> {
-    if req(doc, "kind", path)?.as_str() != Some("lsgc") {
-        return Err(BenchError::Gate(format!("{path}: not an lsgc artifact")));
-    }
-    let ls = req(doc, "lsraid", path)?;
-    let md = req(doc, "mdraid", path)?;
-    let f64_of = |v: &Json, key: &str| -> bench::BenchResult<f64> {
-        req(v, key, path)?
-            .as_f64()
-            .ok_or_else(|| BenchError::Gate(format!("{path}: {key} is not a number")))
-    };
-    let u64_of = |v: &Json, key: &str| -> bench::BenchResult<u64> {
-        req(v, key, path)?
-            .as_u64()
-            .ok_or_else(|| BenchError::Gate(format!("{path}: {key} is not an integer")))
-    };
-    Ok(LsgcRun {
-        path: path.to_string(),
-        flat_ratio: f64_of(ls, "flat_ratio")?,
-        cliff_ratio: f64_of(md, "cliff_ratio")?,
-        waf: f64_of(ls, "waf")?,
-        pp_log_writes: u64_of(ls, "pp_log_writes")?,
-        group_reclaims: u64_of(ls, "group_reclaims")?,
-        emergency_reclaims: u64_of(ls, "emergency_reclaims")?,
-        migrated_sectors: u64_of(ls, "migrated_sectors")?,
-    })
-}
-
-fn load_lsgc(path: &str) -> bench::BenchResult<LsgcRun> {
-    let text = std::fs::read_to_string(path)?;
-    let doc =
-        Json::parse(&text).map_err(|e| BenchError::Gate(format!("{path}: invalid JSON: {e}")))?;
-    lsgc_from_doc(&doc, path)
-}
-
-fn render_lsgc(g: &LsgcRun) {
-    println!("\n## lsgc ({})", g.path);
-    println!(
-        "   lsraid: band {:.3}, WAF {:.3}, {} reclaims ({} emergency), \
-         {} sectors migrated, {} pp-log writes",
-        g.flat_ratio,
-        g.waf,
-        g.group_reclaims,
-        g.emergency_reclaims,
-        g.migrated_sectors,
-        g.pp_log_writes,
-    );
-    println!("   mdraid: cliff {:.3}", g.cliff_ratio);
-}
-
-struct LifecycleRun {
-    path: String,
-    cliff_ratio: f64,
-    flat_ratio: f64,
-    mgr_fg_reclaims: u64,
-    active_limit: u64,
-    max_active_mgr: u64,
-    max_active_nomgr: u64,
-    mgmt_finishes: u64,
-    mgmt_resets: u64,
-    sched_mgmt_ops: u64,
-    mgmt_io_share: f64,
-    nomgr_windows: Vec<f64>,
-    mgr_windows: Vec<f64>,
-}
-
-fn load_lifecycle(path: &str) -> bench::BenchResult<LifecycleRun> {
-    let text = std::fs::read_to_string(path)?;
-    let doc =
-        Json::parse(&text).map_err(|e| BenchError::Gate(format!("{path}: invalid JSON: {e}")))?;
-    if req(&doc, "kind", path)?.as_str() != Some("lifecycle") {
-        return Err(BenchError::Gate(format!(
-            "{path}: not a lifecycle artifact"
-        )));
-    }
-    let nomgr = req(&doc, "nomgr", path)?;
-    let mgr = req(&doc, "mgr", path)?;
-    let f64_of = |v: &Json, key: &str| -> bench::BenchResult<f64> {
-        req(v, key, path)?
-            .as_f64()
-            .ok_or_else(|| BenchError::Gate(format!("{path}: {key} is not a number")))
-    };
-    let u64_of = |v: &Json, key: &str| -> bench::BenchResult<u64> {
-        req(v, key, path)?
-            .as_u64()
-            .ok_or_else(|| BenchError::Gate(format!("{path}: {key} is not an integer")))
-    };
-    let windows = |v: &Json| -> bench::BenchResult<Vec<f64>> {
-        Ok(req(v, "windows_mib_s", path)?
-            .as_arr()
-            .unwrap_or(&[])
-            .iter()
-            .filter_map(Json::as_f64)
-            .collect())
-    };
-    Ok(LifecycleRun {
-        path: path.to_string(),
-        cliff_ratio: f64_of(nomgr, "cliff_ratio")?,
-        flat_ratio: f64_of(mgr, "flat_ratio")?,
-        mgr_fg_reclaims: u64_of(mgr, "foreground_reclaims")?,
-        active_limit: u64_of(&doc, "active_limit")?,
-        max_active_mgr: u64_of(mgr, "max_active_seen")?,
-        max_active_nomgr: u64_of(nomgr, "max_active_seen")?,
-        mgmt_finishes: u64_of(mgr, "mgmt_finishes")?,
-        mgmt_resets: u64_of(mgr, "mgmt_resets")?,
-        sched_mgmt_ops: u64_of(mgr, "sched_mgmt_ops")?,
-        mgmt_io_share: f64_of(mgr, "mgmt_io_share")?,
-        nomgr_windows: windows(nomgr)?,
-        mgr_windows: windows(mgr)?,
-    })
-}
-
-fn render_lifecycle(l: &LifecycleRun) {
-    println!("\n## lifecycle ({})", l.path);
-    let max = l
-        .nomgr_windows
-        .iter()
-        .chain(l.mgr_windows.iter())
-        .cloned()
-        .fold(0.0f64, f64::max);
-    for (name, windows, ratio, label) in [
-        ("nomgr", &l.nomgr_windows, l.cliff_ratio, "cliff"),
-        ("mgr", &l.mgr_windows, l.flat_ratio, "flat"),
-    ] {
-        println!("   {name} ({label} {ratio:.3}):");
-        for w in resample(windows, 12) {
-            println!("     {:>8.0} MiB/s |{}", w, bar(w, max, 40));
-        }
-    }
-    println!(
-        "   manager: {} finishes, {} resets, {} scheduler-dispatched mgmt ops, \
-         {:.1}% of device writes; active zones mgr {}/{} nomgr {}/{}; \
-         mgr foreground reclaims {}",
-        l.mgmt_finishes,
-        l.mgmt_resets,
-        l.sched_mgmt_ops,
-        l.mgmt_io_share * 100.0,
-        l.max_active_mgr,
-        l.active_limit,
-        l.max_active_nomgr,
-        l.active_limit,
-        l.mgr_fg_reclaims,
-    );
-}
-
-/// The lifecycle SLO set: `(name, value, threshold, pass)` per gate.
-///
-/// - `lifecycle_cliff`: the unmanaged run must actually show the cliff
-///   (post-peak trough <= `cliff_max` of the early peak) — it is the
-///   regression oracle proving the cost model bites.
-/// - `lifecycle_flat`: the managed run holds >= `flat_min` of its best
-///   window across the whole band.
-/// - `lifecycle_fg_reclaims`: the manager keeps the foreground reclaim
-///   path completely idle.
-/// - `lifecycle_budget`: no run ever exceeds the device active-zone
-///   budget.
-/// - `lifecycle_mgmt_ops`: management IO went through the scheduler
-///   (attribution is part of the contract, not a side effect).
-fn lifecycle_slos(
-    l: &LifecycleRun,
-    cliff_max: f64,
-    flat_min: f64,
-) -> Vec<(&'static str, f64, f64, bool)> {
-    let max_active = l.max_active_mgr.max(l.max_active_nomgr) as f64;
-    vec![
-        (
-            "lifecycle_cliff",
-            l.cliff_ratio,
-            cliff_max,
-            l.cliff_ratio <= cliff_max,
-        ),
-        (
-            "lifecycle_flat",
-            l.flat_ratio,
-            flat_min,
-            l.flat_ratio >= flat_min,
-        ),
-        (
-            "lifecycle_fg_reclaims",
-            l.mgr_fg_reclaims as f64,
-            0.0,
-            l.mgr_fg_reclaims == 0,
-        ),
-        (
-            "lifecycle_budget",
-            max_active,
-            l.active_limit as f64,
-            max_active <= l.active_limit as f64,
-        ),
-        (
-            "lifecycle_mgmt_ops",
-            l.sched_mgmt_ops as f64,
-            1.0,
-            l.sched_mgmt_ops >= 1,
-        ),
-    ]
 }
 
 const WATERFALL_WIDTH: usize = 44;
@@ -592,9 +249,7 @@ fn segments_of(v: &Json, path: &str) -> bench::BenchResult<[u64; BLAME_CATEGORIE
 }
 
 fn load_spans(path: &str) -> bench::BenchResult<SpanRun> {
-    let text = std::fs::read_to_string(path)?;
-    let doc =
-        Json::parse(&text).map_err(|e| BenchError::Gate(format!("{path}: invalid JSON: {e}")))?;
+    let doc = parse_file(path)?;
     if req(&doc, "kind", path)?.as_str() != Some("spans") {
         return Err(BenchError::Gate(format!("{path}: not a spans artifact")));
     }
@@ -752,9 +407,7 @@ struct DiffSide {
 }
 
 fn load_diff(path: &str) -> bench::BenchResult<DiffSide> {
-    let text = std::fs::read_to_string(path)?;
-    let doc =
-        Json::parse(&text).map_err(|e| BenchError::Gate(format!("{path}: invalid JSON: {e}")))?;
+    let doc = parse_file(path)?;
     if doc.get("kind").and_then(Json::as_str) == Some("spans") {
         return spans_diff_side(&doc, path);
     }
@@ -776,11 +429,11 @@ fn load_diff(path: &str) -> bench::BenchResult<DiffSide> {
     }
     let mut tput_mib_s = None;
     if let Some(ws) = doc.get("windows").and_then(Json::as_arr) {
-        let active: Vec<f64> = ws
+        let tputs: Vec<f64> = ws
             .iter()
             .filter_map(|w| w.get("throughput_mib_s").and_then(Json::as_f64))
-            .filter(|t| *t > 0.0)
             .collect();
+        let active = active_windows(&tputs);
         if !active.is_empty() {
             tput_mib_s = Some(active.iter().sum::<f64>() / active.len() as f64);
         }
@@ -894,35 +547,6 @@ fn render_diff(a: &DiffSide, b: &DiffSide) {
     }
 }
 
-fn render_qos(q: &QosRun) {
-    println!("\n## qos ({})", q.path);
-    println!(
-        "   isolation: victim p99 {} solo -> {} beside a {:.1}x noisy neighbor (ratio {:.3})",
-        fmt_ms(q.solo_p99_ns),
-        fmt_ms(q.contended_p99_ns),
-        q.noisy_load,
-        q.p99_ratio,
-    );
-    let tenant_rows = |tenants: &[QosTenant]| {
-        for t in tenants {
-            println!(
-                "     {:<10} completed {:>7}  shed {:>5}  deferred {:>5}  merged {:>5}",
-                t.name, t.completed, t.shed, t.deferred, t.merged
-            );
-        }
-    };
-    tenant_rows(&q.iso_tenants);
-    println!(
-        "   fairness: weights {:?}, ops {:?}, jain {:.4}, max weight deviation {:.3}",
-        q.weights, q.ops, q.jain, q.max_weight_dev
-    );
-    tenant_rows(&q.fair_tenants);
-    println!(
-        "   coalesce: full-parity/pp-log {:.3} off -> {:.3} on ({:.1}x, {} ops merged into {} batches)",
-        q.off_full_per_pp, q.on_full_per_pp, q.uplift, q.merged, q.batches
-    );
-}
-
 /// Averages `values` down to at most `buckets` entries, preserving order.
 fn resample(values: &[f64], buckets: usize) -> Vec<f64> {
     if values.len() <= buckets {
@@ -967,25 +591,24 @@ fn render(run: &Run) {
         run.label,
         run.path,
         run.window_secs * 1e3,
-        run.total_windows,
-        run.active.len(),
+        run.tputs.len(),
+        active_windows(&run.tputs).len(),
         run.errors,
         fmt_ms(run.whole_run_p99_ns),
     );
-    let tputs = run.active_tputs();
+    let tputs = active_windows(&run.tputs);
     if tputs.is_empty() {
         println!("   (no active windows)");
         return;
     }
-    let rows = resample(&tputs, MAX_ROWS);
+    let rows = resample(tputs, MAX_ROWS);
     let max = rows.iter().cloned().fold(0.0f64, f64::max);
-    let t0 = run.windows[run.active.start].0;
     let step = tputs.len() as f64 * run.window_secs / rows.len() as f64;
     println!("   t(s)    MiB/s");
     for (i, v) in rows.iter().enumerate() {
         println!(
             "   {:>6.2} {:>7.0} |{}",
-            t0 + i as f64 * step,
+            run.t0 + i as f64 * step,
             v,
             bar(*v, max, BAR_WIDTH)
         );
@@ -1058,9 +681,9 @@ fn render(run: &Run) {
 /// Side-by-side timelines aligned at each run's first active window, on a
 /// shared scale — a collapsing run visibly empties next to a flat one.
 fn render_comparison(runs: &[&Run]) {
-    let series: Vec<(&str, Vec<f64>)> = runs
+    let series: Vec<(&str, &[f64])> = runs
         .iter()
-        .map(|r| (r.label.as_str(), r.active_tputs()))
+        .map(|r| (r.label.as_str(), active_windows(&r.tputs)))
         .collect();
     let rows = series.iter().map(|(_, v)| v.len()).max().unwrap_or(0);
     if rows == 0 || runs.len() < 2 {
@@ -1092,63 +715,28 @@ fn render_comparison(runs: &[&Run]) {
     }
 }
 
-enum Check {
-    /// min/max over active windows must be >= threshold.
+/// A band check on a timeline artifact.
+#[derive(Clone, Copy)]
+enum Band {
+    /// `--expect-flat`: min/max over active windows >= `--flat-min`.
     Flat,
-    /// post-peak trough over early peak must be <= threshold.
+    /// `--expect-decline`: post-peak trough over early peak <=
+    /// `--decline-max`.
     Decline,
-    /// worst window p99 over whole-run p99 must be <= threshold.
-    P99,
 }
 
-impl Check {
-    fn name(&self) -> &'static str {
+impl Band {
+    /// The check as an SLO row over the run's full window series; too few
+    /// active windows to evaluate reads NaN, which fails.
+    fn slo(self, run: &Run, flat_min: f64, decline_max: f64) -> Slo {
         match self {
-            Check::Flat => "flat",
-            Check::Decline => "decline",
-            Check::P99 => "window_p99",
-        }
-    }
-
-    /// Returns `(value, pass)`; `None` when the run has too few windows.
-    fn evaluate(&self, run: &Run, threshold: f64) -> Option<(f64, bool)> {
-        let tputs = run.active_tputs();
-        match self {
-            Check::Flat => {
-                let min = tputs.iter().cloned().fold(f64::INFINITY, f64::min);
-                let max = tputs.iter().cloned().fold(0.0f64, f64::max);
-                if max <= 0.0 {
-                    return None;
-                }
-                let ratio = min / max;
-                Some((ratio, ratio >= threshold))
+            Band::Flat => {
+                let v = flat_ratio(&run.tputs).unwrap_or(f64::NAN);
+                Slo::new("flat", v, SloOp::Ge, flat_min)
             }
-            Check::Decline => {
-                // Early peak: best window of the first quarter. Trough:
-                // worst window after the peak (GC recovery at the very end
-                // of a run must not mask the collapse, so min — not last).
-                let head = tputs.len().div_ceil(4);
-                let (peak_at, peak) = tputs[..head]
-                    .iter()
-                    .enumerate()
-                    .max_by(|a, b| a.1.total_cmp(b.1))?;
-                let trough = tputs[peak_at + 1..]
-                    .iter()
-                    .cloned()
-                    .fold(f64::INFINITY, f64::min);
-                if !trough.is_finite() || *peak <= 0.0 {
-                    return None;
-                }
-                let ratio = trough / peak;
-                Some((ratio, ratio <= threshold))
-            }
-            Check::P99 => {
-                let worst = run.windows[run.active.clone()].iter().map(|w| w.2).max()?;
-                if run.whole_run_p99_ns == 0 {
-                    return None;
-                }
-                let factor = worst as f64 / run.whole_run_p99_ns as f64;
-                Some((factor, factor <= threshold))
+            Band::Decline => {
+                let v = cliff_ratio(&run.tputs).unwrap_or(f64::NAN);
+                Slo::new("decline", v, SloOp::Le, decline_max)
             }
         }
     }
@@ -1157,31 +745,17 @@ impl Check {
 fn usage() -> BenchError {
     BenchError::Gate(
         "usage: report [--expect-flat FILE] [--expect-decline FILE] \
-         [--flat-min R] [--decline-max R] [--p99-factor F] [--qos FILE] \
-         [--qos-p99-ratio R] [--qos-jain R] [--qos-share-dev R] \
-         [--qos-uplift R] [--lifecycle FILE] [--cliff-max R] \
-         [--lifecycle-flat R] [--lsgc FILE] [--waf-max R] \
-         [--explain FILE] [--interference-max P] \
-         [--queue-share-max P] [--diff A B] [--regress-max P] [FILE...]"
+         [--flat-min R] [--decline-max R] [--explain FILE] \
+         [--interference-max P] [--queue-share-max P] [--diff A B] \
+         [--regress-max P] [FILE...]"
             .to_string(),
     )
 }
 
 fn main() -> bench::BenchResult {
-    let mut files: Vec<(String, Option<Check>)> = Vec::new();
-    let mut qos_files: Vec<String> = Vec::new();
+    let mut files: Vec<(String, Option<Band>)> = Vec::new();
     let mut flat_min = 0.7f64;
     let mut decline_max = 0.6f64;
-    let mut p99_factor = 0.0f64;
-    let mut qos_p99_ratio = 1.25f64;
-    let mut qos_jain = 0.95f64;
-    let mut qos_share_dev = 0.10f64;
-    let mut qos_uplift = 2.0f64;
-    let mut lifecycle_files: Vec<String> = Vec::new();
-    let mut cliff_max = 0.70f64;
-    let mut lifecycle_flat = 0.90f64;
-    let mut lsgc_files: Vec<String> = Vec::new();
-    let mut waf_max = 1.5f64;
     let mut explain_files: Vec<String> = Vec::new();
     let mut interference_max = 0.0f64;
     let mut queue_share_max = 0.0f64;
@@ -1199,23 +773,10 @@ fn main() -> bench::BenchResult {
                 .ok_or_else(usage)
         };
         match a.as_str() {
-            "--expect-flat" => files.push((args.next().ok_or_else(usage)?, Some(Check::Flat))),
-            "--expect-decline" => {
-                files.push((args.next().ok_or_else(usage)?, Some(Check::Decline)));
-            }
+            "--expect-flat" => files.push((args.next().ok_or_else(usage)?, Some(Band::Flat))),
+            "--expect-decline" => files.push((args.next().ok_or_else(usage)?, Some(Band::Decline))),
             "--flat-min" => flat_min = numeric(&mut args)?,
             "--decline-max" => decline_max = numeric(&mut args)?,
-            "--p99-factor" => p99_factor = numeric(&mut args)?,
-            "--qos" => qos_files.push(args.next().ok_or_else(usage)?),
-            "--qos-p99-ratio" => qos_p99_ratio = numeric(&mut args)?,
-            "--qos-jain" => qos_jain = numeric(&mut args)?,
-            "--qos-share-dev" => qos_share_dev = numeric(&mut args)?,
-            "--qos-uplift" => qos_uplift = numeric(&mut args)?,
-            "--lifecycle" => lifecycle_files.push(args.next().ok_or_else(usage)?),
-            "--cliff-max" => cliff_max = numeric(&mut args)?,
-            "--lifecycle-flat" => lifecycle_flat = numeric(&mut args)?,
-            "--lsgc" => lsgc_files.push(args.next().ok_or_else(usage)?),
-            "--waf-max" => waf_max = numeric(&mut args)?,
             "--explain" => explain_files.push(args.next().ok_or_else(usage)?),
             "--interference-max" => interference_max = numeric(&mut args)?,
             "--queue-share-max" => queue_share_max = numeric(&mut args)?,
@@ -1229,32 +790,21 @@ fn main() -> bench::BenchResult {
             _ => return Err(usage()),
         }
     }
-    if files.is_empty()
-        && qos_files.is_empty()
-        && lifecycle_files.is_empty()
-        && lsgc_files.is_empty()
-        && explain_files.is_empty()
-        && diff_pairs.is_empty()
-    {
+    if files.is_empty() && explain_files.is_empty() && diff_pairs.is_empty() {
         return Err(usage());
     }
 
-    let runs: Vec<(Run, Option<Check>)> = files
-        .into_iter()
-        .map(|(path, check)| load(&path).map(|r| (r, check)))
-        .collect::<bench::BenchResult<_>>()?;
-    let qos_runs: Vec<QosRun> = qos_files
-        .iter()
-        .map(|path| load_qos(path))
-        .collect::<bench::BenchResult<_>>()?;
-    let lifecycle_runs: Vec<LifecycleRun> = lifecycle_files
-        .iter()
-        .map(|path| load_lifecycle(path))
-        .collect::<bench::BenchResult<_>>()?;
-    let lsgc_runs: Vec<LsgcRun> = lsgc_files
-        .iter()
-        .map(|path| load_lsgc(path))
-        .collect::<bench::BenchResult<_>>()?;
+    // Dispatch on content: a document with an `slo` array is re-checked
+    // row by row; anything else is a timeline.
+    let mut runs: Vec<(Run, Option<Band>)> = Vec::new();
+    let mut slo_files: Vec<(String, Vec<Slo>)> = Vec::new();
+    for (path, band) in files {
+        let doc = parse_file(&path)?;
+        match slo_rows(&doc, &path) {
+            Some(rows) if band.is_none() => slo_files.push((path, rows?)),
+            _ => runs.push((load(&path, &doc)?, band)),
+        }
+    }
     let span_runs: Vec<SpanRun> = explain_files
         .iter()
         .map(|path| load_spans(path))
@@ -1270,15 +820,6 @@ fn main() -> bench::BenchResult {
     if runs.len() >= 2 {
         render_comparison(&runs.iter().map(|(r, _)| r).collect::<Vec<_>>());
     }
-    for q in &qos_runs {
-        render_qos(q);
-    }
-    for g in &lsgc_runs {
-        render_lsgc(g);
-    }
-    for l in &lifecycle_runs {
-        render_lifecycle(l);
-    }
     for s in &span_runs {
         render_spans(s);
     }
@@ -1288,167 +829,54 @@ fn main() -> bench::BenchResult {
 
     println!();
     let mut failures = Vec::new();
-    let mut gate = |check: &Check, run: &Run, threshold: f64| {
-        let line = match check.evaluate(run, threshold) {
-            Some((value, pass)) => {
-                let verdict = if pass { "PASS" } else { "FAIL" };
-                if !pass {
-                    failures.push(format!(
-                        "{} on {}: value {value:.3} vs threshold {threshold}",
-                        check.name(),
-                        run.path
-                    ));
-                }
-                format!(
-                    "SLO {} file={} value={value:.3} threshold={threshold} {verdict}",
-                    check.name(),
-                    run.path
-                )
-            }
-            None => {
-                failures.push(format!(
-                    "{} on {}: not enough active windows to evaluate",
-                    check.name(),
-                    run.path
-                ));
-                format!(
-                    "SLO {} file={} value=NaN threshold={threshold} FAIL",
-                    check.name(),
-                    run.path
-                )
-            }
-        };
-        println!("{line}");
-    };
-    for (run, check) in &runs {
-        match check {
-            Some(c @ Check::Flat) => gate(c, run, flat_min),
-            Some(c @ Check::Decline) => gate(c, run, decline_max),
-            Some(Check::P99) | None => {}
-        }
-        if p99_factor > 0.0 {
-            gate(&Check::P99, run, p99_factor);
+    for (run, band) in &runs {
+        if let Some(band) = band {
+            let row = band.slo(run, flat_min, decline_max);
+            failures.extend(bench::print_slos(&run.path, &[row]));
         }
     }
-
-    let mut slo = |name: &str, path: &str, value: f64, threshold: f64, pass: bool| {
-        let verdict = if pass { "PASS" } else { "FAIL" };
-        if !pass {
-            failures.push(format!(
-                "{name} on {path}: value {value:.3} vs threshold {threshold}"
-            ));
-        }
-        println!("SLO {name} file={path} value={value:.3} threshold={threshold} {verdict}");
-    };
-    for q in &qos_runs {
-        slo(
-            "qos_isolation_p99_ratio",
-            &q.path,
-            q.p99_ratio,
-            qos_p99_ratio,
-            q.p99_ratio <= qos_p99_ratio,
-        );
-        slo(
-            "qos_fairness_jain",
-            &q.path,
-            q.jain,
-            qos_jain,
-            q.jain >= qos_jain,
-        );
-        slo(
-            "qos_weight_share_dev",
-            &q.path,
-            q.max_weight_dev,
-            qos_share_dev,
-            q.max_weight_dev <= qos_share_dev,
-        );
-        slo(
-            "qos_coalesce_uplift",
-            &q.path,
-            q.uplift,
-            qos_uplift,
-            q.uplift >= qos_uplift,
-        );
-    }
-
-    for l in &lifecycle_runs {
-        for (name, value, threshold, pass) in lifecycle_slos(l, cliff_max, lifecycle_flat) {
-            slo(name, &l.path, value, threshold, pass);
-        }
-    }
-
-    // Log-structured GC gates: WAF ceiling, the structural zero-pp-log
-    // claim (full-stripe appends never take the partial-parity path),
-    // and the scenario's reason to exist — the log-structured band must
-    // beat the mdraid cliff it is contrasted against.
-    for g in &lsgc_runs {
-        slo("lsgc_waf", &g.path, g.waf, waf_max, g.waf <= waf_max);
-        #[allow(clippy::cast_precision_loss)]
-        slo(
-            "lsgc_pp_log_writes",
-            &g.path,
-            g.pp_log_writes as f64,
-            0.0,
-            g.pp_log_writes == 0,
-        );
-        slo(
-            "lsgc_band_vs_cliff",
-            &g.path,
-            g.flat_ratio,
-            g.cliff_ratio,
-            g.flat_ratio > g.cliff_ratio,
-        );
+    for (path, rows) in &slo_files {
+        failures.extend(bench::print_slos(path, rows));
     }
 
     // Span-blame gates: shares are NaN when the artifact attributed no
-    // time, which fails the comparison — a dead tracer cannot pass.
+    // time, which fails the row — a dead tracer cannot pass.
     for s in &span_runs {
+        let mut rows = Vec::new();
         if interference_max > 0.0 {
             let v = s.share_pct(&[
                 "interference_lifecycle",
                 "interference_rebuild",
                 "interference_gc",
             ]);
-            slo(
+            rows.push(Slo::new(
                 "spans_interference_share",
-                &s.path,
                 v,
+                SloOp::Le,
                 interference_max,
-                v <= interference_max,
-            );
+            ));
         }
         if queue_share_max > 0.0 {
             let v = s.share_pct(&["queue"]);
-            slo(
-                "spans_queue_share",
-                &s.path,
-                v,
-                queue_share_max,
-                v <= queue_share_max,
-            );
+            rows.push(Slo::new("spans_queue_share", v, SloOp::Le, queue_share_max));
         }
+        failures.extend(bench::print_slos(&s.path, &rows));
     }
 
     for (a, b) in &diffs {
         if regress_max > 0.0 {
-            let worst = worst_p99_growth(a, b);
-            slo(
-                "diff_p99_regress",
-                &b.path,
-                worst.unwrap_or(f64::NAN),
-                regress_max,
-                worst.is_some_and(|v| v <= regress_max),
-            );
+            let worst = worst_p99_growth(a, b).unwrap_or(f64::NAN);
+            let mut rows = vec![Slo::new("diff_p99_regress", worst, SloOp::Le, regress_max)];
             if let (Some(ta), Some(tb)) = (a.tput_mib_s, b.tput_mib_s) {
                 let drop_pct = (ta - tb) / ta * 100.0;
-                slo(
+                rows.push(Slo::new(
                     "diff_tput_regress",
-                    &b.path,
                     drop_pct,
+                    SloOp::Le,
                     regress_max,
-                    drop_pct <= regress_max,
-                );
+                ));
             }
+            failures.extend(bench::print_slos(&b.path, &rows));
         }
     }
 
@@ -1462,82 +890,6 @@ fn main() -> bench::BenchResult {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn healthy() -> LifecycleRun {
-        LifecycleRun {
-            path: "BENCH_ziggurat.json".into(),
-            cliff_ratio: 0.59,
-            flat_ratio: 0.97,
-            mgr_fg_reclaims: 0,
-            active_limit: 9,
-            max_active_mgr: 4,
-            max_active_nomgr: 9,
-            mgmt_finishes: 39,
-            mgmt_resets: 8,
-            sched_mgmt_ops: 82,
-            mgmt_io_share: 0.14,
-            nomgr_windows: vec![1865.0, 1865.0, 1100.0, 1100.0],
-            mgr_windows: vec![1865.0, 1860.0, 1865.0, 1862.0],
-        }
-    }
-
-    fn verdict(slos: &[(&'static str, f64, f64, bool)], name: &str) -> bool {
-        slos.iter().find(|s| s.0 == name).expect("missing slo").3
-    }
-
-    #[test]
-    fn healthy_artifact_passes_every_gate() {
-        let slos = lifecycle_slos(&healthy(), 0.70, 0.90);
-        assert_eq!(slos.len(), 5);
-        assert!(slos.iter().all(|s| s.3), "{slos:?}");
-    }
-
-    #[test]
-    fn missing_cliff_fails_the_oracle() {
-        // A flat unmanaged run means the cost model stopped biting.
-        let l = LifecycleRun {
-            cliff_ratio: 0.95,
-            ..healthy()
-        };
-        let slos = lifecycle_slos(&l, 0.70, 0.90);
-        assert!(!verdict(&slos, "lifecycle_cliff"));
-        assert!(verdict(&slos, "lifecycle_flat"));
-    }
-
-    #[test]
-    fn managed_cliff_fails_the_flat_gate() {
-        let l = LifecycleRun {
-            flat_ratio: 0.58,
-            ..healthy()
-        };
-        assert!(!verdict(&lifecycle_slos(&l, 0.70, 0.90), "lifecycle_flat"));
-    }
-
-    #[test]
-    fn reclaims_budget_and_attribution_gates() {
-        let l = LifecycleRun {
-            mgr_fg_reclaims: 3,
-            max_active_mgr: 11,
-            sched_mgmt_ops: 0,
-            ..healthy()
-        };
-        let slos = lifecycle_slos(&l, 0.70, 0.90);
-        assert!(!verdict(&slos, "lifecycle_fg_reclaims"));
-        assert!(!verdict(&slos, "lifecycle_budget"));
-        assert!(!verdict(&slos, "lifecycle_mgmt_ops"));
-    }
-
-    #[test]
-    fn budget_gate_covers_the_unmanaged_run_too() {
-        let l = LifecycleRun {
-            max_active_nomgr: 10,
-            ..healthy()
-        };
-        assert!(!verdict(
-            &lifecycle_slos(&l, 0.70, 0.90),
-            "lifecycle_budget"
-        ));
-    }
 
     fn span_run(rows: Vec<BlameRow>) -> SpanRun {
         SpanRun {
@@ -1646,31 +998,5 @@ mod tests {
         let a = side(&[("whole_op", 0)], None);
         let b = side(&[("whole_op", 500)], None);
         assert!(worst_p99_growth(&a, &b).is_none());
-    }
-
-    #[test]
-    fn lsgc_artifact_parses_and_rejects_wrong_kind() {
-        let text = r#"{
-            "kind": "lsgc",
-            "lsraid": {
-                "flat_ratio": 0.903, "waf": 1.392, "group_reclaims": 176,
-                "emergency_reclaims": 0, "migrated_sectors": 408604,
-                "pp_log_writes": 0
-            },
-            "mdraid": { "cliff_ratio": 0.621 }
-        }"#;
-        let doc = Json::parse(text).expect("valid JSON");
-        let g = lsgc_from_doc(&doc, "BENCH_lsgc.json").expect("parses");
-        assert!((g.flat_ratio - 0.903).abs() < 1e-9);
-        assert!((g.cliff_ratio - 0.621).abs() < 1e-9);
-        assert!((g.waf - 1.392).abs() < 1e-9);
-        assert_eq!(g.pp_log_writes, 0);
-        assert_eq!(g.group_reclaims, 176);
-        assert_eq!(g.emergency_reclaims, 0);
-        assert_eq!(g.migrated_sectors, 408_604);
-        assert!(g.waf <= 1.5 && g.flat_ratio > g.cliff_ratio);
-
-        let wrong = Json::parse(r#"{"kind": "qos"}"#).expect("valid JSON");
-        assert!(lsgc_from_doc(&wrong, "x.json").is_err());
     }
 }

@@ -8,7 +8,7 @@
 //!    budget is exhausted, every new zone activation inline-finishes a
 //!    victim zone — fill writes over its unwritten tail — on the write
 //!    path. Throughput falls off a cliff (gate: post-peak trough <= 70%
-//!    of the early peak, evaluated by `report --lifecycle`).
+//!    of the early peak).
 //! 2. **mgr**: a [`raizn::ZoneLifecycleManager`] pumps between
 //!    foreground ops, submitting finishes/pre-opens/batched resets
 //!    through the QoS scheduler as a weight-1 internal tenant. The band
@@ -18,11 +18,15 @@
 //! Emits `BENCH_ziggurat.json` plus per-run timeline artifacts
 //! (`BENCH_ziggurat_nomgr_timeline.json` feeds `report
 //! --expect-decline`, `BENCH_ziggurat_mgr_timeline.json` feeds
-//! `--expect-flat`).
+//! `--expect-flat`). The lifecycle gates (cliff, flat band, zero
+//! foreground reclaims, active budget, scheduler attribution) are
+//! `bench::lifecycle::lifecycle_slos` rows: written into the artifact's
+//! `slo` array first, checked last, so a failing run leaves its numbers
+//! on disk; `report BENCH_ziggurat.json` re-checks them.
 
 use bench::lifecycle::{
-    cliff_ratio, flat_ratio, lifecycle_json, lifecycle_scheduler, lifecycle_volume, manager_config,
-    spray, SprayOutcome, ACTIVE_LIMIT, SPRAY_ZONES, STRIPES_PER_ZONE,
+    cliff_ratio, flat_ratio, lifecycle_json, lifecycle_scheduler, lifecycle_slos, lifecycle_volume,
+    manager_config, spray, SprayOutcome, ACTIVE_LIMIT, SPRAY_ZONES, STRIPES_PER_ZONE,
 };
 use raizn::ZoneLifecycleManager;
 use std::sync::Arc;
@@ -62,11 +66,6 @@ fn main() -> bench::BenchResult {
         .ok_or_else(|| bench::BenchError::Gate("nomgr run produced too few windows".into()))?;
 
     let mgr = run(true)?;
-    bench::gate!(
-        mgr.raizn.foreground_reclaims == 0,
-        "managed run fell back to foreground reclaim {} times",
-        mgr.raizn.foreground_reclaims
-    );
     let stats = mgr.mgmt.unwrap_or_default();
     bench::gate!(
         stats.finishes > 0 && stats.resets > 0,
@@ -74,23 +73,11 @@ fn main() -> bench::BenchResult {
         stats.finishes,
         stats.resets
     );
-    bench::gate!(
-        mgr.sched_mgmt_ops >= stats.finishes + stats.resets,
-        "management ops bypassed the scheduler ({} dispatched < {} issued)",
-        mgr.sched_mgmt_ops,
-        stats.finishes + stats.resets
-    );
-    bench::gate!(
-        mgr.max_active_seen <= ACTIVE_LIMIT && nomgr.max_active_seen <= ACTIVE_LIMIT,
-        "active budget exceeded (mgr {} nomgr {} limit {})",
-        mgr.max_active_seen,
-        nomgr.max_active_seen,
-        ACTIVE_LIMIT
-    );
     let mgr_flat = flat_ratio(&mgr.windows_mib_s)
         .ok_or_else(|| bench::BenchError::Gate("mgr run produced too few windows".into()))?;
 
-    let json = lifecycle_json(&nomgr, nomgr_cliff, &mgr, mgr_flat);
+    let slos = lifecycle_slos(&nomgr, nomgr_cliff, &mgr, mgr_flat);
+    let json = lifecycle_json(&nomgr, nomgr_cliff, &mgr, mgr_flat, &slos);
     std::fs::write("BENCH_ziggurat.json", &json)?;
     println!("ziggurat results -> BENCH_ziggurat.json");
 
@@ -135,5 +122,6 @@ fn main() -> bench::BenchResult {
 
     bench::write_breakdown("ziggurat")?;
     bench::write_spans("ziggurat", &bench::recorder())?;
-    Ok(())
+    println!();
+    bench::check_slos("BENCH_ziggurat.json", &slos)
 }

@@ -75,6 +75,187 @@ macro_rules! gate {
     };
 }
 
+/// The comparison an [`Slo`] row's value must satisfy against its bound.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SloOp {
+    /// `value <= bound`.
+    Le,
+    /// `value < bound`.
+    Lt,
+    /// `value >= bound`.
+    Ge,
+    /// `value > bound`.
+    Gt,
+    /// `value == bound`.
+    Eq,
+}
+
+impl SloOp {
+    const ALL: [SloOp; 5] = [SloOp::Le, SloOp::Lt, SloOp::Ge, SloOp::Gt, SloOp::Eq];
+
+    /// The operator as written in artifacts (`"<="`, `"<"`, ...).
+    pub fn symbol(self) -> &'static str {
+        match self {
+            SloOp::Le => "<=",
+            SloOp::Lt => "<",
+            SloOp::Ge => ">=",
+            SloOp::Gt => ">",
+            SloOp::Eq => "==",
+        }
+    }
+
+    /// Parses an operator written by [`SloOp::symbol`].
+    pub fn parse(s: &str) -> Option<SloOp> {
+        SloOp::ALL.into_iter().find(|op| op.symbol() == s)
+    }
+
+    /// Whether `value op bound` holds. Every comparison with NaN is false,
+    /// so a NaN value (an unmeasurable quantity) fails.
+    pub fn holds(self, value: f64, bound: f64) -> bool {
+        match self {
+            SloOp::Le => value <= bound,
+            SloOp::Lt => value < bound,
+            SloOp::Ge => value >= bound,
+            SloOp::Gt => value > bound,
+            SloOp::Eq => value == bound,
+        }
+    }
+}
+
+/// One gated objective of a benchmark artifact: `value op bound`.
+///
+/// Scenario binaries build their rows, write them into their artifact as
+/// a top-level `"slo"` array ([`slo_json`]), and only then exit through
+/// [`check_slos`], so a failing run still leaves the numbers behind its
+/// verdict on disk. `report FILE` re-checks such an artifact with the
+/// same evaluator.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Slo {
+    /// Gate name, printed in the `SLO` line.
+    pub name: String,
+    /// The measured quantity (NaN when it could not be measured).
+    pub value: f64,
+    /// The comparison `value` must satisfy.
+    pub op: SloOp,
+    /// The threshold.
+    pub bound: f64,
+}
+
+impl Slo {
+    /// A row gating `value op bound`.
+    pub fn new(name: &str, value: f64, op: SloOp, bound: f64) -> Self {
+        Slo {
+            name: name.to_string(),
+            value,
+            op,
+            bound,
+        }
+    }
+
+    /// Whether the row holds.
+    pub fn pass(&self) -> bool {
+        self.op.holds(self.value, self.bound)
+    }
+
+    /// Reads one element of an artifact's `"slo"` array (`value: null`
+    /// stands for NaN, which JSON cannot spell).
+    ///
+    /// # Errors
+    ///
+    /// Fails on a missing or mistyped field or an unknown operator.
+    pub fn from_json(v: &json::Json) -> BenchResult<Slo> {
+        let bad = |what: &str| BenchError::Gate(format!("slo row: {what}"));
+        let num = |key: &str| match v.get(key) {
+            Some(json::Json::Null) => Ok(f64::NAN),
+            Some(n) => n
+                .as_f64()
+                .ok_or_else(|| bad(&format!("{key} is not a number"))),
+            None => Err(bad(&format!("missing {key}"))),
+        };
+        Ok(Slo {
+            name: v
+                .get("name")
+                .and_then(json::Json::as_str)
+                .ok_or_else(|| bad("missing name"))?
+                .to_string(),
+            value: num("value")?,
+            op: v
+                .get("op")
+                .and_then(json::Json::as_str)
+                .and_then(SloOp::parse)
+                .ok_or_else(|| bad("missing or unknown op"))?,
+            bound: num("bound")?,
+        })
+    }
+}
+
+/// `x` as an artifact's `{:.4}` field records it: rows built from it gate
+/// exactly the number the artifact shows next to them.
+pub fn recorded(x: f64) -> f64 {
+    format!("{x:.4}").parse().unwrap_or(x)
+}
+
+/// Renders `rows` as a JSON array for an artifact's top-level `"slo"` key.
+pub fn slo_json(rows: &[Slo]) -> String {
+    let num = |x: f64| {
+        if x.is_finite() {
+            x.to_string()
+        } else {
+            "null".to_string()
+        }
+    };
+    let rows: Vec<String> = rows
+        .iter()
+        .map(|r| {
+            format!(
+                "{{\"name\": \"{}\", \"value\": {}, \"op\": \"{}\", \"bound\": {}}}",
+                r.name,
+                num(r.value),
+                r.op.symbol(),
+                num(r.bound)
+            )
+        })
+        .collect();
+    format!("[{}]", rows.join(", "))
+}
+
+/// Prints one `SLO <name> file=<file> value=<v> threshold=<t> PASS|FAIL`
+/// line per row and returns a description of each failing row.
+pub fn print_slos(file: &str, rows: &[Slo]) -> Vec<String> {
+    let mut failures = Vec::new();
+    for r in rows {
+        let verdict = if r.pass() { "PASS" } else { "FAIL" };
+        println!(
+            "SLO {} file={file} value={:.3} threshold={} {verdict}",
+            r.name, r.value, r.bound
+        );
+        if !r.pass() {
+            failures.push(format!(
+                "{} on {file}: value {:.3} not {} {}",
+                r.name,
+                r.value,
+                r.op.symbol(),
+                r.bound
+            ));
+        }
+    }
+    failures
+}
+
+/// Prints `rows` (see [`print_slos`]) and fails if any row fails.
+///
+/// # Errors
+///
+/// Returns a gate error naming every failing row.
+pub fn check_slos(file: &str, rows: &[Slo]) -> BenchResult {
+    let failures = print_slos(file, rows);
+    if failures.is_empty() {
+        Ok(())
+    } else {
+        Err(BenchError::Gate(failures.join("; ")))
+    }
+}
+
 /// Number of array devices used throughout the evaluation (paper: 5).
 pub const ARRAY_DEVICES: usize = 5;
 
@@ -692,6 +873,51 @@ mod tests {
         assert_eq!(r.geometry().num_zones(), 5);
         let m = mdraid_volume(262_144, 16).unwrap();
         assert!(m.capacity_sectors() > 0);
+    }
+
+    #[test]
+    fn slo_ops_hold_at_their_boundary() {
+        let pass = |op, value| Slo::new("x", value, op, 1.0).pass();
+        assert!(pass(SloOp::Le, 1.0) && !pass(SloOp::Le, 1.0 + 1e-9));
+        assert!(pass(SloOp::Ge, 1.0) && !pass(SloOp::Ge, 1.0 - 1e-9));
+        assert!(pass(SloOp::Eq, 1.0) && !pass(SloOp::Eq, 1.0 + 1e-9));
+        assert!(!pass(SloOp::Gt, 1.0) && pass(SloOp::Gt, 1.0 + 1e-9));
+        assert!(!pass(SloOp::Lt, 1.0) && pass(SloOp::Lt, 1.0 - 1e-9));
+        for op in SloOp::ALL {
+            assert!(!pass(op, f64::NAN), "NaN passed {}", op.symbol());
+            assert_eq!(SloOp::parse(op.symbol()), Some(op));
+        }
+        assert_eq!(SloOp::parse("=<"), None);
+    }
+
+    #[test]
+    fn slo_check_fails_on_any_failing_row_and_passes_when_empty() {
+        assert!(check_slos("x.json", &[]).is_ok());
+        let ok = Slo::new("ok", 0.5, SloOp::Le, 1.0);
+        let bad = Slo::new("bad", f64::NAN, SloOp::Ge, 0.9);
+        assert!(check_slos("x.json", std::slice::from_ref(&ok)).is_ok());
+        let failures = print_slos("x.json", &[ok, bad]);
+        assert_eq!(failures.len(), 1);
+        assert!(failures[0].starts_with("bad on x.json"), "{failures:?}");
+    }
+
+    #[test]
+    fn slo_rows_round_trip_through_json() {
+        let rows = vec![
+            Slo::new("a", 0.6210344827586207, SloOp::Gt, recorded(0.62103)),
+            Slo::new("b", f64::NAN, SloOp::Eq, 0.0),
+        ];
+        let doc = json::Json::parse(&slo_json(&rows)).expect("valid JSON");
+        let back: Vec<Slo> = doc
+            .as_arr()
+            .expect("array")
+            .iter()
+            .map(|v| Slo::from_json(v).expect("row"))
+            .collect();
+        assert_eq!(back[0], rows[0]);
+        assert_eq!(back[0].bound.to_string(), "0.621");
+        assert!(back[1].value.is_nan() && back[1].op == SloOp::Eq);
+        assert!(Slo::from_json(&json::Json::parse(r#"{"name": "c"}"#).unwrap()).is_err());
     }
 
     #[test]

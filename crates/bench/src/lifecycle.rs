@@ -11,7 +11,10 @@
 //! scheduler (as a low-priority internal tenant), near-full zones are
 //! finished off the critical path and the band stays flat.
 
-use crate::{BenchError, BenchResult, TimelineRun, ARRAY_DEVICES, TIMELINE_WINDOW};
+use crate::{
+    recorded, slo_json, BenchError, BenchResult, Slo, SloOp, TimelineRun, ARRAY_DEVICES,
+    TIMELINE_WINDOW,
+};
 use qos::{QosConfig, QosScheduler, TenantSnapshot, TenantSpec};
 use raizn::{
     LifecycleConfig, LifecycleStats, MgmtSink, RaiznConfig, RaiznStats, RaiznVolume,
@@ -349,7 +352,8 @@ pub fn flat_ratio(windows: &[f64]) -> Option<f64> {
     (max > 0.0).then(|| min / max)
 }
 
-pub(crate) fn tenant_json(t: &TenantSnapshot) -> String {
+/// One scheduler tenant's accounting as an artifact JSON object.
+pub fn tenant_json(t: &TenantSnapshot) -> String {
     format!(
         "{{\"name\": \"{}\", \"admitted\": {}, \"completed\": {}, \"shed\": {}, \
          \"deferred\": {}, \"batches\": {}, \"merged\": {}, \"bytes\": {}}}",
@@ -357,7 +361,8 @@ pub(crate) fn tenant_json(t: &TenantSnapshot) -> String {
     )
 }
 
-pub(crate) fn join(parts: impl IntoIterator<Item = String>) -> String {
+/// Joins rendered JSON values with `", "` (array/list bodies).
+pub fn join(parts: impl IntoIterator<Item = String>) -> String {
     parts.into_iter().collect::<Vec<_>>().join(", ")
 }
 
@@ -365,16 +370,74 @@ pub(crate) fn windows_json(w: &[f64]) -> String {
     join(w.iter().map(|v| format!("{v:.2}")))
 }
 
+/// Ceiling of the unmanaged run's cliff ratio: the cost model must bite.
+pub const CLIFF_MAX: f64 = 0.70;
+/// Floor of the managed run's flat ratio.
+pub const FLAT_MIN: f64 = 0.90;
+
+/// The lifecycle SLO rows, from the two spray outcomes and their band
+/// ratios:
+///
+/// - `lifecycle_cliff`: the unmanaged run actually shows the cliff
+///   (post-peak trough <= [`CLIFF_MAX`] of the early peak) — the
+///   regression oracle proving the cost model bites.
+/// - `lifecycle_flat`: the managed run holds >= [`FLAT_MIN`] of its best
+///   window across the whole band.
+/// - `lifecycle_fg_reclaims`: the manager keeps the foreground reclaim
+///   path completely idle.
+/// - `lifecycle_budget`: neither run ever exceeds the device active-zone
+///   budget.
+/// - `lifecycle_mgmt_ops`: every management op the manager issued went
+///   through the scheduler (attribution is part of the contract, not a
+///   side effect).
+pub fn lifecycle_slos(
+    nomgr: &SprayOutcome,
+    nomgr_cliff: f64,
+    mgr: &SprayOutcome,
+    mgr_flat: f64,
+) -> Vec<Slo> {
+    let stats = mgr.mgmt.unwrap_or_default();
+    let max_active = mgr.max_active_seen.max(nomgr.max_active_seen);
+    vec![
+        Slo::new(
+            "lifecycle_cliff",
+            recorded(nomgr_cliff),
+            SloOp::Le,
+            CLIFF_MAX,
+        ),
+        Slo::new("lifecycle_flat", recorded(mgr_flat), SloOp::Ge, FLAT_MIN),
+        Slo::new(
+            "lifecycle_fg_reclaims",
+            mgr.raizn.foreground_reclaims as f64,
+            SloOp::Eq,
+            0.0,
+        ),
+        Slo::new(
+            "lifecycle_budget",
+            f64::from(max_active),
+            SloOp::Le,
+            f64::from(ACTIVE_LIMIT),
+        ),
+        Slo::new(
+            "lifecycle_mgmt_ops",
+            mgr.sched_mgmt_ops as f64,
+            SloOp::Ge,
+            (stats.finishes + stats.resets) as f64,
+        ),
+    ]
+}
+
 /// Renders the `kind: "lifecycle"` artifact (`BENCH_ziggurat.json`)
-/// from the two spray outcomes and their precomputed band ratios. The
-/// schema suite validates this emitter directly, so the artifact the
-/// `ziggurat` binary writes and the one the tests check cannot drift
-/// apart.
+/// from the two spray outcomes, their precomputed band ratios and the
+/// [`lifecycle_slos`] rows. The schema suite validates this emitter
+/// directly, so the artifact the `ziggurat` binary writes and the one
+/// the tests check cannot drift apart.
 pub fn lifecycle_json(
     nomgr: &SprayOutcome,
     nomgr_cliff: f64,
     mgr: &SprayOutcome,
     mgr_flat: f64,
+    slos: &[Slo],
 ) -> String {
     let stats = mgr.mgmt.unwrap_or_default();
     format!(
@@ -387,7 +450,7 @@ pub fn lifecycle_json(
          \"foreground_reclaims\": {},\n    \"max_active_seen\": {},\n    \
          \"mgmt_finishes\": {},\n    \"mgmt_resets\": {},\n    \"mgmt_pre_opens\": {},\n    \
          \"mgmt_pumps\": {},\n    \"mgmt_io_share\": {:.4},\n    \"sched_mgmt_ops\": {},\n    \
-         \"duration_ms\": {:.2},\n    \"tenants\": [{}]\n  }}\n}}\n",
+         \"duration_ms\": {:.2},\n    \"tenants\": [{}]\n  }},\n  \"slo\": {}\n}}\n",
         ACTIVE_LIMIT,
         SPRAY_ZONES,
         STRIPES_PER_ZONE,
@@ -411,6 +474,7 @@ pub fn lifecycle_json(
         mgr.sched_mgmt_ops,
         mgr.end.as_nanos() as f64 / 1e6,
         join(mgr.tenants.iter().map(tenant_json)),
+        slo_json(slos),
     )
 }
 
@@ -433,6 +497,87 @@ mod tests {
         // The trailing partial window is excluded from the band.
         let w = [100.0, 100.0, 12.0];
         assert!(flat_ratio(&w).unwrap() > 0.99);
+    }
+
+    fn outcome(
+        max_active_seen: u32,
+        foreground_reclaims: u64,
+        mgmt: Option<LifecycleStats>,
+        sched_mgmt_ops: u64,
+    ) -> SprayOutcome {
+        SprayOutcome {
+            windows_mib_s: Vec::new(),
+            end: SimTime::ZERO,
+            max_active_seen,
+            raizn: RaiznStats {
+                foreground_reclaims,
+                ..RaiznStats::default()
+            },
+            tenants: Vec::new(),
+            mgmt,
+            mgmt_io_share: 0.14,
+            sched_mgmt_ops,
+        }
+    }
+
+    /// `(nomgr, mgr)` outcomes of a run that passes every gate.
+    fn healthy() -> (SprayOutcome, SprayOutcome) {
+        let stats = LifecycleStats {
+            finishes: 39,
+            resets: 8,
+            pre_opens: 33,
+            pumps: 1100,
+        };
+        (outcome(9, 32, None, 0), outcome(4, 0, Some(stats), 82))
+    }
+
+    fn verdict(rows: &[Slo], name: &str) -> bool {
+        rows.iter()
+            .find(|r| r.name == name)
+            .expect("missing slo")
+            .pass()
+    }
+
+    #[test]
+    fn healthy_artifact_passes_every_gate() {
+        let (nomgr, mgr) = healthy();
+        let rows = lifecycle_slos(&nomgr, 0.59, &mgr, 0.97);
+        assert_eq!(rows.len(), 5);
+        assert!(rows.iter().all(Slo::pass), "{rows:?}");
+    }
+
+    #[test]
+    fn missing_cliff_fails_the_oracle() {
+        // A flat unmanaged run means the cost model stopped biting.
+        let (nomgr, mgr) = healthy();
+        let rows = lifecycle_slos(&nomgr, 0.95, &mgr, 0.97);
+        assert!(!verdict(&rows, "lifecycle_cliff"));
+        assert!(verdict(&rows, "lifecycle_flat"));
+    }
+
+    #[test]
+    fn managed_cliff_fails_the_flat_gate() {
+        let (nomgr, mgr) = healthy();
+        let rows = lifecycle_slos(&nomgr, 0.59, &mgr, 0.58);
+        assert!(!verdict(&rows, "lifecycle_flat"));
+    }
+
+    #[test]
+    fn reclaims_budget_and_attribution_gates() {
+        let (nomgr, healthy_mgr) = healthy();
+        let mgr = outcome(11, 3, healthy_mgr.mgmt, 0);
+        let rows = lifecycle_slos(&nomgr, 0.59, &mgr, 0.97);
+        assert!(!verdict(&rows, "lifecycle_fg_reclaims"));
+        assert!(!verdict(&rows, "lifecycle_budget"));
+        assert!(!verdict(&rows, "lifecycle_mgmt_ops"));
+    }
+
+    #[test]
+    fn budget_gate_covers_the_unmanaged_run_too() {
+        let (_, mgr) = healthy();
+        let nomgr = outcome(10, 32, None, 0);
+        let rows = lifecycle_slos(&nomgr, 0.59, &mgr, 0.97);
+        assert!(!verdict(&rows, "lifecycle_budget"));
     }
 
     #[test]

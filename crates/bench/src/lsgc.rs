@@ -13,7 +13,7 @@
 //! and declines as device-level FTL GC sets in.
 
 use crate::lifecycle::{join, tenant_json, windows_json};
-use crate::{BenchError, BenchResult, TimelineRun};
+use crate::{recorded, slo_json, BenchError, BenchResult, Slo, SloOp, TimelineRun};
 use lsraid::{GcManager, GcSink, LsStats};
 use qos::{QosConfig, QosScheduler, TenantSnapshot, TenantSpec};
 use sim::{SimRng, SimTime};
@@ -262,6 +262,9 @@ pub struct LsOutcome {
     pub emergency: u64,
     /// Sectors the collector migrated during the phase.
     pub migrated: u64,
+    /// Partial-parity-log appends during the phase (the engine has no
+    /// partial-parity path, so anything but zero is a regression).
+    pub pp_log_writes: u64,
     /// Scheduler tenant accounting (app, then gc).
     pub tenants: Vec<TenantSnapshot>,
 }
@@ -287,20 +290,49 @@ pub fn phase_waf(pre: &LsStats, post: &LsStats) -> f64 {
     (user + migrated + pads) as f64 / user as f64
 }
 
+/// The lsgc SLO rows: measured-phase WAF at most [`WAF_MAX`], zero
+/// partial-parity-log appends (full-stripe appends never take that
+/// path), and the scenario's reason to exist — the log-structured band
+/// must beat the mdraid cliff it is contrasted against.
+pub fn lsgc_slos(ls: &LsOutcome, ls_flat: f64, md_cliff: f64) -> Vec<Slo> {
+    vec![
+        Slo::new("lsgc_waf", recorded(ls.waf), SloOp::Le, WAF_MAX),
+        Slo::new(
+            "lsgc_pp_log_writes",
+            ls.pp_log_writes as f64,
+            SloOp::Eq,
+            0.0,
+        ),
+        Slo::new(
+            "lsgc_band_vs_cliff",
+            recorded(ls_flat),
+            SloOp::Gt,
+            recorded(md_cliff),
+        ),
+    ]
+}
+
 /// Renders the `kind: "lsgc"` artifact (`BENCH_lsgc.json`) from the two
-/// run outcomes and their precomputed band ratios. The schema suite
-/// validates this emitter directly, so the artifact the `lsgc` binary
-/// writes and the one the tests check cannot drift apart.
-pub fn lsgc_json(ls: &LsOutcome, ls_flat: f64, md: &MdOutcome, md_cliff: f64) -> String {
+/// run outcomes, their precomputed band ratios and the [`lsgc_slos`]
+/// rows. The schema suite validates this emitter directly, so the
+/// artifact the `lsgc` binary writes and the one the tests check cannot
+/// drift apart.
+pub fn lsgc_json(
+    ls: &LsOutcome,
+    ls_flat: f64,
+    md: &MdOutcome,
+    md_cliff: f64,
+    slos: &[Slo],
+) -> String {
     format!(
         "{{\n  \"kind\": \"lsgc\",\n  \"block_sectors\": {},\n  \"overwrite_ops\": {},\n  \
          \"hot_region_pct\": {},\n  \"hot_write_pct\": {},\n  \"lsraid\": {{\n    \
          \"windows_mib_s\": [{}],\n    \"flat_ratio\": {:.4},\n    \"waf\": {:.4},\n    \
          \"group_reclaims\": {},\n    \"emergency_reclaims\": {},\n    \
-         \"migrated_sectors\": {},\n    \"pad_sectors\": {},\n    \"pp_log_writes\": 0,\n    \
+         \"migrated_sectors\": {},\n    \"pad_sectors\": {},\n    \"pp_log_writes\": {},\n    \
          \"duration_ms\": {:.2},\n    \"tenants\": [{}]\n  }},\n  \"mdraid\": {{\n    \
          \"windows_mib_s\": [{}],\n    \"cliff_ratio\": {:.4},\n    \"duration_ms\": {:.2},\n    \
-         \"tenants\": [{}]\n  }}\n}}\n",
+         \"tenants\": [{}]\n  }},\n  \"slo\": {}\n}}\n",
         BLOCK,
         OVERWRITE_OPS,
         HOT_REGION_PCT,
@@ -312,12 +344,14 @@ pub fn lsgc_json(ls: &LsOutcome, ls_flat: f64, md: &MdOutcome, md_cliff: f64) ->
         ls.emergency,
         ls.migrated,
         ls.stats.pad_sectors,
+        ls.pp_log_writes,
         ls.end.as_nanos() as f64 / 1e6,
         join(ls.tenants.iter().map(tenant_json)),
         windows_json(&md.windows_mib_s),
         md_cliff,
         md.end.as_nanos() as f64 / 1e6,
         join(md.tenants.iter().map(tenant_json)),
+        slo_json(slos),
     )
 }
 

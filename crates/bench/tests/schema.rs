@@ -9,9 +9,9 @@
 //! sample times, and span blame tables that partition exactly.
 
 use bench::json::Json;
-use bench::lifecycle::{lifecycle_json, SprayOutcome};
-use bench::lsgc::{lsgc_json, LsOutcome, MdOutcome};
-use bench::TimelineRun;
+use bench::lifecycle::{lifecycle_json, lifecycle_slos, SprayOutcome};
+use bench::lsgc::{lsgc_json, lsgc_slos, LsOutcome, MdOutcome};
+use bench::{Slo, TimelineRun};
 use lsraid::{LsConfig, LsStats};
 use qos::TenantSnapshot;
 use raizn::{LifecycleStats, RaiznStats};
@@ -370,6 +370,29 @@ fn f64_field(v: &Json, key: &str, ctx: &str) -> f64 {
         .unwrap_or_else(|| panic!("{ctx}: missing or non-numeric {key:?}"))
 }
 
+/// Asserts the top-level `slo` array: well-formed `{name, value, op,
+/// bound}` rows (`value` may be `null` for NaN; the bound is always a
+/// number), named exactly `names` in order.
+fn check_slo(doc: &Json, names: &[&str], ctx: &str) {
+    let rows = doc
+        .get("slo")
+        .and_then(Json::as_arr)
+        .unwrap_or_else(|| panic!("{ctx}: missing slo array"));
+    let got: Vec<String> = rows
+        .iter()
+        .map(|r| {
+            let row = Slo::from_json(r).unwrap_or_else(|e| panic!("{ctx}: {e}"));
+            assert!(
+                row.bound.is_finite(),
+                "{ctx}: slo {} has no numeric bound",
+                row.name
+            );
+            row.name
+        })
+        .collect();
+    assert_eq!(got, names, "{ctx}: slo row names");
+}
+
 fn check_tenants(run: &Json, ctx: &str) {
     let tenants = run
         .get("tenants")
@@ -399,8 +422,8 @@ fn check_tenants(run: &Json, ctx: &str) {
 /// Validates the `kind: "lifecycle"` document the `ziggurat` binary
 /// writes as `BENCH_ziggurat.json` (DESIGN.md "Observability"): run
 /// geometry, both runs' window series and band ratios, the unmanaged
-/// run's reclaim counters, the managed run's management counters, and
-/// per-run scheduler tenant accounting.
+/// run's reclaim counters, the managed run's management counters,
+/// per-run scheduler tenant accounting, and the five lifecycle SLO rows.
 fn check_lifecycle(doc: &Json, ctx: &str) {
     assert_eq!(
         doc.get("kind").and_then(Json::as_str),
@@ -465,6 +488,17 @@ fn check_lifecycle(doc: &Json, ctx: &str) {
         (0.0..=1.0).contains(&share),
         "{mctx}: mgmt_io_share {share} outside [0, 1]"
     );
+    check_slo(
+        doc,
+        &[
+            "lifecycle_cliff",
+            "lifecycle_flat",
+            "lifecycle_fg_reclaims",
+            "lifecycle_budget",
+            "lifecycle_mgmt_ops",
+        ],
+        ctx,
+    );
 }
 
 fn tenant(name: &str, completed: u64) -> TenantSnapshot {
@@ -483,8 +517,8 @@ fn tenant(name: &str, completed: u64) -> TenantSnapshot {
 /// Validates the `kind: "lsgc"` document the `lsgc` binary writes as
 /// `BENCH_lsgc.json`: workload geometry, the log-structured run's
 /// window series / band ratio / WAF / GC counters (pp-log writes pinned
-/// to zero), the mdraid baseline's series and cliff ratio, and both
-/// runs' scheduler tenant accounting.
+/// to zero), the mdraid baseline's series and cliff ratio, both runs'
+/// scheduler tenant accounting, and the three lsgc SLO rows.
 fn check_lsgc(doc: &Json, ctx: &str) {
     assert_eq!(
         doc.get("kind").and_then(Json::as_str),
@@ -562,6 +596,11 @@ fn check_lsgc(doc: &Json, ctx: &str) {
         "{mctx}: negative duration"
     );
     check_tenants(md, &mctx);
+    check_slo(
+        doc,
+        &["lsgc_waf", "lsgc_pp_log_writes", "lsgc_band_vs_cliff"],
+        ctx,
+    );
 }
 
 #[test]
@@ -587,6 +626,7 @@ fn lsgc_artifact_conforms_to_schema() {
         reclaims: 176,
         emergency: 0,
         migrated: 408_604,
+        pp_log_writes: 0,
         tenants: vec![tenant("app", 4096), tenant("gc", 1600)],
     };
     let md = MdOutcome {
@@ -594,7 +634,7 @@ fn lsgc_artifact_conforms_to_schema() {
         end: SimTime::from_nanos(1_000_000_000),
         tenants: vec![tenant("app", 4096), tenant("gc", 0)],
     };
-    let json = lsgc_json(&ls, 0.90, &md, 0.62);
+    let json = lsgc_json(&ls, 0.90, &md, 0.62, &lsgc_slos(&ls, 0.90, 0.62));
     let doc = Json::parse(&json).expect("lsgc artifact is valid JSON");
     check_lsgc(&doc, "lsgc_json");
 }
@@ -633,7 +673,8 @@ fn lifecycle_artifact_conforms_to_schema() {
         mgmt_io_share: 0.14,
         sched_mgmt_ops: 80,
     };
-    let json = lifecycle_json(&nomgr, 0.6, &mgr, 0.99);
+    let slos = lifecycle_slos(&nomgr, 0.6, &mgr, 0.99);
+    let json = lifecycle_json(&nomgr, 0.6, &mgr, 0.99, &slos);
     let doc = Json::parse(&json).expect("lifecycle artifact is valid JSON");
     check_lifecycle(&doc, "lifecycle_json");
 }

@@ -47,10 +47,12 @@ cargo run --release -q -p raizn-bench --bin report -- \
 # isolation bound (victim p99 within 1.25x of its solo run), track
 # configured weights (Jain >= 0.95, per-tenant share deviation <= 10%)
 # and convert unaligned sequential writes into full-stripe parity writes
-# (coalescer uplift; the report exits nonzero on any FAIL).
+# (coalescer uplift >= 2x). The binary writes these as the artifact's
+# "slo" rows and exits nonzero on any FAIL; the report re-checks the
+# rows from the artifact.
 cargo run --release -q -p raizn-bench --bin qos > /dev/null
 cargo run --release -q -p raizn-bench --bin report -- \
-  --qos BENCH_qos.json > /dev/null
+  BENCH_qos.json > /dev/null
 
 # Blame-attribution gate over the qos run's span artifact: the
 # noisy-neighbor phases are queue-dominated by design (the scheduler is
@@ -67,11 +69,12 @@ cargo run --release -q -p raizn-bench --bin report -- \
 # must keep the band flat with zero foreground reclaims: min/max >= 0.9
 # over the sim-time windows inside BENCH_ziggurat.json, and >= 0.65 over
 # the raw wall-clock timeline, whose windows also absorb the interleaved
-# management I/O. The binary gates the reclaim/budget invariants; the
-# report gates the band shapes.
+# management I/O. The binary gates the cliff, flat band, reclaim, budget
+# and scheduler-attribution rows it writes into BENCH_ziggurat.json; the
+# report re-checks those rows and gates the timeline band shapes.
 cargo run --release -q -p raizn-bench --bin ziggurat > /dev/null
 cargo run --release -q -p raizn-bench --bin report -- \
-  --lifecycle BENCH_ziggurat.json \
+  BENCH_ziggurat.json \
   --expect-decline BENCH_ziggurat_nomgr_timeline.json --decline-max 0.7 \
   --expect-flat BENCH_ziggurat_mgr_timeline.json --flat-min 0.65 > /dev/null
 
@@ -89,8 +92,9 @@ cargo run --release -q -p raizn-bench --bin report -- \
 # min/max band over 300 ms windows with measured-phase WAF <= 1.5, zero
 # partial-parity-log appends, and no emergency-reclaim dominance — all
 # gated inside the binary — while the mdraid baseline falls off its
-# device-FTL GC cliff. The report then re-gates the summary artifact
-# (WAF ceiling, zero pp-log, band-beats-cliff) and the raw timeline: the
+# device-FTL GC cliff. The binary writes WAF ceiling, zero pp-log and
+# band-beats-cliff as "slo" rows of BENCH_lsgc.json and checks them last;
+# the report re-checks those rows and gates the raw timeline: the
 # timeline's 100 ms windows hold ~20 one-MiB ops each, so a one-op
 # boundary shift reads as a ~5% swing — hence the 0.6 floor here vs the
 # binary's 0.8 band on 300 ms windows. GC interference may claim at most
@@ -100,7 +104,7 @@ cargo run --release -q -p raizn-bench --bin report -- \
   --expect-flat BENCH_lsgc_lsraid_timeline.json --flat-min 0.6 \
   --expect-decline BENCH_lsgc_mdraid_timeline.json > /dev/null
 cargo run --release -q -p raizn-bench --bin report -- \
-  --lsgc BENCH_lsgc.json \
+  BENCH_lsgc.json \
   --explain BENCH_lsgc_spans.json --interference-max 10 > /dev/null
 
 # Dual-parity (RAIZN-2) gates: parity = 2 keeps >= 55% of single-parity
